@@ -1,10 +1,8 @@
 """Solver registry: ``(problem, name)`` -> budgeted solver callables.
 
 Benchmarks, the CLI, the ingest engine and the parallel sweep workers
-all address solvers by name, so the mapping lives in one place.  Since
-the :class:`~repro.core.problemspec.ProblemSpec` refactor there is
-**one** registry per addressing surface, keyed by ``(problem, name)``
-with ``problem in repro.core.problemspec.SPECS``:
+all address solvers by name, so the mapping lives in one place, keyed
+by ``(problem, name)`` with ``problem in repro.core.problemspec.SPECS``:
 
 * :data:`SOLVERS` — plan-level solvers
   ``f(graph, budget) -> StoragePlan | None`` (None = the budget is
@@ -20,8 +18,12 @@ with ``problem in repro.core.problemspec.SPECS``:
   :class:`~repro.fastgraph.CompiledGraph` qualify; DP/ILP solvers have
   no array-tree form and are deliberately absent);
 * :data:`BACKENDS` — explicit backend requests for the greedy family
-  (``"array"`` kernels, the ``"dict"`` reference implementations, and
-  the optional compiled ``"numba"`` kernels).
+  (``"array"`` kernels and the ``"dict"`` reference implementations).
+
+Every greedy solver is written down once, in ``_GREEDY`` (its array
+kernel and its dict reference); the other tables derive from it, and
+:data:`SWEEPS` derives from
+:data:`repro.fastgraph.trajectory.TRAJECTORY_SOLVERS`.
 
 Resolution goes through :func:`get_solver`, :func:`get_sweep` and
 :func:`get_engine_solver`, all taking the problem name first.  Plain
@@ -39,34 +41,20 @@ index per call; sweep code that wants index reuse calls the solver
 classes directly (see :mod:`repro.bench.figures`).  The array kernels
 reuse the compiled graph cached on the :class:`VersionGraph` itself
 (``graph.compile()``), so repeated calls on one graph compile once.
-
-Deprecated surfaces
--------------------
-The pre-refactor twin tables and getters — ``MSR_SOLVERS`` /
-``BMR_SOLVERS``, ``MSR_SWEEPS`` / ``BMR_SWEEPS``, ``ENGINE_SOLVERS`` /
-``BMR_ENGINE_SOLVERS``, ``get_msr_solver`` / ``get_bmr_solver``,
-``get_msr_sweep`` / ``get_bmr_sweep``, ``msr_sweep_start_edges`` and
-the ``get_engine_solver(name, problem)`` argument order — keep
-resolving to the identical objects but emit a ``DeprecationWarning``
-(``tests/test_registry_compat.py``).  The table shims are cached
-*snapshots* of the unified registry: mutate :data:`SOLVERS` etc. when
-patching solvers.
 """
 
 from __future__ import annotations
 
-import warnings
+from functools import partial
 
 from ..core.graph import GraphError, VersionGraph
 from ..core.problemspec import SPECS, get_spec
 from ..core.solution import StoragePlan
 from ..fastgraph import (
+    TRAJECTORY_SOLVERS,
     bmr_lmg_array,
-    bmr_lmg_native,
     lmg_all_array,
-    lmg_all_native,
     lmg_array,
-    lmg_native,
     mp_array,
     mp_local_array,
     sweep_greedy,
@@ -88,48 +76,29 @@ __all__ = [
     "get_sweep",
     "get_engine_solver",
     "sweep_start_edges",
-    # deprecated getter shims (DeprecationWarning on use); the six
-    # deprecated twin tables resolve through module __getattr__ and are
-    # importable by name without being re-exported here
-    "get_msr_solver",
-    "get_bmr_solver",
-    "get_msr_sweep",
-    "get_bmr_sweep",
-    "msr_sweep_start_edges",
 ]
 
+#: ``(problem, name)`` -> ``(array kernel, dict reference kernel)`` for
+#: the greedy family.  Both return a plan tree and raise ``ValueError``
+#: on an infeasible budget.
+_GREEDY = {
+    ("msr", "lmg"): (lmg_array, lmg),
+    ("msr", "lmg-all"): (lmg_all_array, lmg_all),
+    ("bmr", "mp"): (mp_array, mp),
+    ("bmr", "mp-local"): (mp_local_array, mp_local),
+    ("bmr", "bmr-lmg"): (bmr_lmg_array, bmr_lmg),
+}
 
-def _lmg_dict(graph: VersionGraph, budget: float) -> StoragePlan | None:
+
+def _plan(kernel, graph: VersionGraph, budget: float) -> StoragePlan | None:
+    """Run a tree kernel as a plan-level solver (``ValueError`` -> None)."""
     try:
-        return lmg(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
-def _lmg_array(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return lmg_array(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
-def _lmg_all_dict(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return lmg_all(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
-def _lmg_all_array(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return lmg_all_array(graph, budget).to_plan()
+        return kernel(graph, budget).to_plan()
     except ValueError:
         return None
 
 
 def _dp_msr(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    from ..core.graph import GraphError
-
     try:
         return dp_msr(graph, budget).plan
     except GraphError:
@@ -140,23 +109,7 @@ def _msr_ilp(graph: VersionGraph, budget: float) -> StoragePlan | None:
     return msr_ilp(graph, budget).plan
 
 
-def _mp_dict(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return mp(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
-def _mp_array(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return mp_array(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
 def _dp_bmr(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    from ..core.graph import GraphError
-
     try:
         return dp_bmr_heuristic(graph, budget).plan
     except GraphError:
@@ -169,103 +122,39 @@ def _bmr_ilp(graph: VersionGraph, budget: float) -> StoragePlan | None:
     return bmr_ilp(graph, budget).plan
 
 
-def _bmr_lmg_dict(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return bmr_lmg(graph, budget).to_plan()
-    except ValueError:
-        return None
+def _sweep(problem: str, name: str, graph, budgets, *, start_edges=None):
+    """Run the trajectory-replay sweep of one greedy solver."""
+    return sweep_greedy(graph, problem, name, budgets, start_edges=start_edges)
 
 
-def _bmr_lmg_array(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return bmr_lmg_array(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
-def _mp_local_dict(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return mp_local(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
-def _mp_local_array(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return mp_local_array(graph, budget).to_plan()
-    except ValueError:
-        return None
-
-
-def _lmg_numba(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return lmg_native(graph, budget).to_plan()
-    except GraphError:
-        raise  # numba missing is an environment problem, not a budget outcome
-    except ValueError:
-        return None
-
-
-def _lmg_all_numba(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return lmg_all_native(graph, budget).to_plan()
-    except GraphError:
-        raise
-    except ValueError:
-        return None
-
-
-def _bmr_lmg_numba(graph: VersionGraph, budget: float) -> StoragePlan | None:
-    try:
-        return bmr_lmg_native(graph, budget).to_plan()
-    except GraphError:
-        raise
-    except ValueError:
-        return None
-
+#: ``(problem, name)`` -> backend -> plan-level solver, for explicit
+#: backend requests (greedy family only); solvers without an entry
+#: resolve to their default.
+BACKENDS = {
+    key: {"array": partial(_plan, array), "dict": partial(_plan, ref)}
+    for key, (array, ref) in _GREEDY.items()
+}
 
 #: ``(problem, name)`` -> plan-level solver; greedy names resolve to
 #: the array kernels.
 SOLVERS = {
-    ("msr", "lmg"): _lmg_array,
-    ("msr", "lmg-all"): _lmg_all_array,
+    **{key: backends["array"] for key, backends in BACKENDS.items()},
     ("msr", "dp-msr"): _dp_msr,
     ("msr", "ilp"): _msr_ilp,
-    ("bmr", "mp"): _mp_array,
-    ("bmr", "mp-local"): _mp_local_array,
-    ("bmr", "bmr-lmg"): _bmr_lmg_array,
     ("bmr", "dp-bmr"): _dp_bmr,
     ("bmr", "ilp"): _bmr_ilp,
 }
 
-
-def _sweep_lmg(graph, budgets, *, start_edges=None):
-    return sweep_greedy(graph, "msr", "lmg", budgets, start_edges=start_edges)
-
-
-def _sweep_lmg_all(graph, budgets, *, start_edges=None):
-    return sweep_greedy(graph, "msr", "lmg-all", budgets, start_edges=start_edges)
-
-
-def _sweep_bmr_lmg(graph, budgets, *, start_edges=None):
-    return sweep_greedy(graph, "bmr", "bmr-lmg", budgets, start_edges=start_edges)
-
-
 #: ``(problem, name)`` -> whole-grid trajectory-replay sweep
-#: ``f(graph, budgets, *, start_edges=None) -> list[SweepEntry]``.
-#: Only greedy solvers with budget-monotone trajectories qualify (the
-#: LMG family and ``bmr-lmg``).  The MP family is absent by design:
-#: MP's Prim growth depends on the retrieval budget at every
-#: relaxation, so runs at different budgets share no prefix (see
+#: ``f(graph, budgets, *, start_edges=None) -> list[SweepEntry]``, one
+#: per solver the replay engine supports (the LMG family and
+#: ``bmr-lmg``).  The MP family is absent by design: MP's Prim growth
+#: depends on the retrieval budget at every relaxation, so runs at
+#: different budgets share no prefix (see
 #: :mod:`repro.fastgraph.trajectory`).  ``start_edges`` ships a shared
 #: Edmonds arborescence to MSR sweeps; families whose start tree is
 #: budget-independent of it (BMR's all-materialized start) ignore it.
-SWEEPS = {
-    ("msr", "lmg"): _sweep_lmg,
-    ("msr", "lmg-all"): _sweep_lmg_all,
-    ("bmr", "bmr-lmg"): _sweep_bmr_lmg,
-}
-
+SWEEPS = {key: partial(_sweep, *key) for key in TRAJECTORY_SOLVERS}
 
 #: ``(problem, name)`` -> tree-level engine kernel
 #: ``f(compiled_graph, budget) -> ArrayPlanTree``.  The ingest engine
@@ -273,37 +162,9 @@ SWEEPS = {
 #: :class:`StoragePlan`: between full re-solves it keeps attaching
 #: arriving versions onto the live ``ArrayPlanTree``, and the
 #: incremental attach / staleness bookkeeping work on the flat arrays.
-ENGINE_KERNELS = {
-    ("msr", "lmg"): lmg_array,
-    ("msr", "lmg-all"): lmg_all_array,
-    ("bmr", "mp"): mp_array,
-    ("bmr", "mp-local"): mp_local_array,
-    ("bmr", "bmr-lmg"): bmr_lmg_array,
-}
+ENGINE_KERNELS = {key: array for key, (array, _ref) in _GREEDY.items()}
 
-
-#: ``(problem, name)`` -> backend -> callable, for explicit backend
-#: requests (greedy family only).  The ``"numba"`` entries are the
-#: optional compiled kernels of :mod:`repro.fastgraph.native` — they
-#: raise a clear error when numba is not installed; solvers without an
-#: entry for a requested backend resolve to their default.
-BACKENDS = {
-    ("msr", "lmg"): {"array": _lmg_array, "dict": _lmg_dict, "numba": _lmg_numba},
-    ("msr", "lmg-all"): {
-        "array": _lmg_all_array,
-        "dict": _lmg_all_dict,
-        "numba": _lmg_all_numba,
-    },
-    ("bmr", "mp"): {"array": _mp_array, "dict": _mp_dict},
-    ("bmr", "mp-local"): {"array": _mp_local_array, "dict": _mp_local_dict},
-    ("bmr", "bmr-lmg"): {
-        "array": _bmr_lmg_array,
-        "dict": _bmr_lmg_dict,
-        "numba": _bmr_lmg_numba,
-    },
-}
-
-_BACKEND_NAMES = ("array", "dict", "numba")
+_BACKEND_NAMES = ("array", "dict")
 
 
 def _names(table: dict, problem: str) -> list[str]:
@@ -320,9 +181,9 @@ def _other_problem(problem: str) -> str | None:
 def get_solver(problem: str, name: str, backend: str | None = None):
     """Look up a plan-level solver for ``problem`` by ``name``.
 
-    ``backend`` picks ``"array"``, ``"dict"`` or ``"numba"`` for the
-    greedy family; solvers without that variant resolve to their
-    default implementation.  Raises ``ValueError`` for unknown problems and
+    ``backend`` picks ``"array"`` or ``"dict"`` for the greedy family;
+    solvers without that variant resolve to their default
+    implementation.  Raises ``ValueError`` for unknown problems and
     ``KeyError`` — with a cross-family hint when the name belongs to
     the other family — for unknown solver names or backends.
     """
@@ -330,7 +191,8 @@ def get_solver(problem: str, name: str, backend: str | None = None):
     if (problem, name) not in SOLVERS:
         other = _other_problem(problem)
         hint = (
-            f" ({name!r} is a {other.upper()} solver; use get_{other}_solver)"
+            f" ({name!r} is a {other.upper()} solver; "
+            f"use get_solver({other!r}, {name!r}))"
             if other is not None and (other, name) in SOLVERS
             else ""
         )
@@ -357,8 +219,12 @@ def get_sweep(problem: str, name: str):
     return SWEEPS.get((problem, name))
 
 
-def _engine_lookup(problem: str, name: str):
-    """Engine-kernel lookup with the pinned engine error messages."""
+def get_engine_solver(problem: str, name: str):
+    """Tree-level solver for the ingest engine: ``(problem, name)``.
+
+    Raises ``ValueError`` for unknown problems and ``KeyError`` with
+    the valid options for unknown or non-engine-capable solver names.
+    """
     if problem not in SPECS:
         raise ValueError(
             f"unknown engine problem {problem!r}; options: {sorted(SPECS)}"
@@ -376,60 +242,6 @@ def _engine_lookup(problem: str, name: str):
             f"unknown {problem.upper()} engine solver {name!r}; "
             f"options: {_names(ENGINE_KERNELS, problem)}{hint}"
         ) from None
-
-
-def get_engine_solver(*args, problem: str | None = None, name: str | None = None):
-    """Tree-level solver for the ingest engine: ``(problem, name)``.
-
-    Raises ``ValueError`` for unknown problems and ``KeyError`` with
-    the valid options for unknown or non-engine-capable solver names.
-
-    The pre-refactor call shapes — positional ``get_engine_solver(name,
-    problem)``, keyword ``get_engine_solver(name, problem="bmr")`` and
-    single-argument ``get_engine_solver(name)`` — still resolve
-    (problem names and solver names never collide) but emit a
-    ``DeprecationWarning``.
-    """
-    legacy = "get_engine_solver(name, problem)"
-    new = "get_engine_solver(problem, name)"
-    if len(args) > 2 or (args and len(args) + (problem is not None) + (name is not None) > 2):
-        raise TypeError("get_engine_solver takes (problem, name)")
-    if len(args) == 2:
-        first, second = args
-        if first in SPECS:
-            return _engine_lookup(first, second)
-        if second in SPECS or any(first == n for _, n in ENGINE_KERNELS):
-            # unambiguously the legacy (name, problem) order: the
-            # second argument is a problem, or the first is a known
-            # engine solver name (covers legacy calls with a bad
-            # problem, whose error message is pinned)
-            _deprecated(legacy, new)
-            return _engine_lookup(second, first)
-        # neither reading is registered: report against the documented
-        # new order so a typo'd family name is blamed correctly
-        raise ValueError(
-            f"unknown engine problem {first!r}; options: {sorted(SPECS)}"
-        )
-    if len(args) == 1:
-        if problem is not None:
-            # legacy keyword form: get_engine_solver("mp", problem="bmr")
-            _deprecated(legacy, new)
-            return _engine_lookup(problem, args[0])
-        if name is not None:
-            return _engine_lookup(args[0], name)
-        if args[0] in SPECS:
-            raise TypeError(
-                "get_engine_solver(problem, name) requires a solver name"
-            )
-        _deprecated(legacy, new)
-        return _engine_lookup("msr", args[0])
-    if problem is not None and name is not None:
-        # fully keyworded: identical semantics in both call shapes
-        return _engine_lookup(problem, name)
-    if name is not None:
-        _deprecated(legacy, new)
-        return _engine_lookup("msr", name)
-    raise TypeError("get_engine_solver(problem, name) requires a solver name")
 
 
 def sweep_start_edges(
@@ -451,73 +263,3 @@ def sweep_start_edges(
     from ..fastgraph.arborescence import min_storage_parent_edges
 
     return min_storage_parent_edges(graph.compile())
-
-
-# ----------------------------------------------------------------------
-# deprecated pre-ProblemSpec surfaces
-# ----------------------------------------------------------------------
-def _deprecated(old: str, new: str) -> None:
-    """Emit the registry's standard deprecation warning."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} (see repro.algorithms.registry)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-_DEPRECATED_TABLES = {
-    "MSR_SOLVERS": (SOLVERS, "msr", 'SOLVERS[("msr", name)]'),
-    "BMR_SOLVERS": (SOLVERS, "bmr", 'SOLVERS[("bmr", name)]'),
-    "MSR_SWEEPS": (SWEEPS, "msr", 'SWEEPS[("msr", name)]'),
-    "BMR_SWEEPS": (SWEEPS, "bmr", 'SWEEPS[("bmr", name)]'),
-    "ENGINE_SOLVERS": (ENGINE_KERNELS, "msr", 'ENGINE_KERNELS[("msr", name)]'),
-    "BMR_ENGINE_SOLVERS": (ENGINE_KERNELS, "bmr", 'ENGINE_KERNELS[("bmr", name)]'),
-}
-
-_table_views: dict[str, dict] = {}
-
-
-def __getattr__(attr: str):
-    """Serve the deprecated twin tables as cached family snapshots."""
-    if attr in _DEPRECATED_TABLES:
-        table, problem, new = _DEPRECATED_TABLES[attr]
-        _deprecated(attr, new)
-        if attr not in _table_views:
-            _table_views[attr] = {
-                n: fn for (p, n), fn in table.items() if p == problem
-            }
-        return _table_views[attr]
-    raise AttributeError(f"module {__name__!r} has no attribute {attr!r}")
-
-
-def get_msr_solver(name: str, backend: str | None = None):
-    """Deprecated: use ``get_solver("msr", name, backend)``."""
-    _deprecated("get_msr_solver(name)", 'get_solver("msr", name)')
-    return get_solver("msr", name, backend)
-
-
-def get_bmr_solver(name: str, backend: str | None = None):
-    """Deprecated: use ``get_solver("bmr", name, backend)``."""
-    _deprecated("get_bmr_solver(name)", 'get_solver("bmr", name)')
-    return get_solver("bmr", name, backend)
-
-
-def get_msr_sweep(name: str):
-    """Deprecated: use ``get_sweep("msr", name)``."""
-    _deprecated("get_msr_sweep(name)", 'get_sweep("msr", name)')
-    return get_sweep("msr", name)
-
-
-def get_bmr_sweep(name: str):
-    """Deprecated: use ``get_sweep("bmr", name)``."""
-    _deprecated("get_bmr_sweep(name)", 'get_sweep("bmr", name)')
-    return get_sweep("bmr", name)
-
-
-def msr_sweep_start_edges(graph: VersionGraph, solvers) -> list | None:
-    """Deprecated: use ``sweep_start_edges("msr", graph, solvers)``."""
-    _deprecated(
-        "msr_sweep_start_edges(graph, solvers)",
-        'sweep_start_edges("msr", graph, solvers)',
-    )
-    return sweep_start_edges("msr", graph, solvers)

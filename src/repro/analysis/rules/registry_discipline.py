@@ -1,14 +1,11 @@
 """registry-discipline: go through the registry getters, not its tables.
 
 :mod:`repro.algorithms.registry` exposes ``get_solver`` / ``get_sweep``
-/ ``get_engine_solver`` / ``get_backend`` accessors that validate keys
-and produce helpful errors.  Subscripting the underlying ``SOLVERS`` /
-``SWEEPS`` / ``ENGINE_KERNELS`` / ``BACKENDS`` tables directly skips
-that validation (iterating the tables for discovery is fine, and is
-what the CI registry smoke does).  The pre-refactor twin getters and
-twin tables (``get_msr_solver``, ``MSR_SOLVERS``, ...) survive only as
-``DeprecationWarning`` shims for external callers — internal code must
-not use them, or the shims can never be deleted.
+/ ``get_engine_solver`` accessors that validate keys and produce
+helpful errors.  Subscripting the underlying ``SOLVERS`` / ``SWEEPS`` /
+``ENGINE_KERNELS`` / ``BACKENDS`` tables directly skips that validation
+(iterating the tables for discovery is fine, and is what the CI
+registry smoke does).
 """
 
 from __future__ import annotations
@@ -18,29 +15,12 @@ from typing import Iterator
 
 from ..core import Finding, Module, Rule, register
 
-__all__ = ["RegistryDiscipline", "TABLES", "DEPRECATED", "ALLOWED_MODULE"]
+__all__ = ["RegistryDiscipline", "TABLES", "ALLOWED_MODULE"]
 
 #: Registry tables that must not be subscripted outside the registry.
 TABLES = frozenset({"SOLVERS", "SWEEPS", "ENGINE_KERNELS", "BACKENDS"})
 
-#: Deprecated twin-getter / twin-table shims kept for external callers.
-DEPRECATED = frozenset(
-    {
-        "get_msr_solver",
-        "get_bmr_solver",
-        "get_msr_sweep",
-        "get_bmr_sweep",
-        "msr_sweep_start_edges",
-        "MSR_SOLVERS",
-        "BMR_SOLVERS",
-        "MSR_SWEEPS",
-        "BMR_SWEEPS",
-        "ENGINE_SOLVERS",
-        "BMR_ENGINE_SOLVERS",
-    }
-)
-
-#: The registry module itself, exempt from both checks.
+#: The registry module itself, exempt from the check.
 ALLOWED_MODULE = "repro.algorithms.registry"
 
 
@@ -55,45 +35,24 @@ def _subscripted_table(node: ast.Subscript) -> str | None:
 
 @register
 class RegistryDiscipline(Rule):
-    """Flag raw table subscripts and deprecated-shim use outside registry."""
+    """Flag raw registry-table subscripts outside the registry."""
 
     name = "registry-discipline"
-    description = (
-        "use registry getters, not raw table subscripts or deprecated shims"
-    )
+    description = "use registry getters, not raw table subscripts"
 
     def check(self, module: Module) -> Iterator[Finding]:
-        """Yield one finding per offending subscript / shim reference."""
+        """Yield one finding per offending subscript."""
         if module.name == ALLOWED_MODULE:
             return
         for node in ast.walk(module.tree):
-            message: str | None = None
-            if isinstance(node, ast.Subscript):
-                table = _subscripted_table(node)
-                if table is not None:
-                    message = (
-                        f"direct subscript of registry table {table}; use "
-                        "the registry getters (get_solver, get_sweep, ...)"
-                    )
-            elif isinstance(node, ast.Name) and node.id in DEPRECATED:
-                message = (
-                    f"deprecated registry shim {node.id}; use the unified "
-                    "(problem, name) getters instead"
-                )
-            elif isinstance(node, ast.Attribute) and node.attr in DEPRECATED:
-                message = (
-                    f"deprecated registry shim {node.attr}; use the unified "
-                    "(problem, name) getters instead"
-                )
-            elif isinstance(node, ast.ImportFrom):
-                bad = sorted(
-                    a.name for a in node.names if a.name in DEPRECATED
-                )
-                if bad:
-                    message = (
-                        f"import of deprecated registry shim(s) "
-                        f"{', '.join(bad)}; use the unified getters instead"
-                    )
-            if message is None or module.is_suppressed(node.lineno, self.name):
+            if not isinstance(node, ast.Subscript):
                 continue
-            yield self.finding(module, node, message)
+            table = _subscripted_table(node)
+            if table is None or module.is_suppressed(node.lineno, self.name):
+                continue
+            yield self.finding(
+                module,
+                node,
+                f"direct subscript of registry table {table}; use "
+                "the registry getters (get_solver, get_sweep, ...)",
+            )

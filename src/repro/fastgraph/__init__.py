@@ -48,14 +48,10 @@ into flat NumPy arrays and reruns the greedy hot loops on top of them:
 Backend selection is plumbed through the solver registry: the plain
 names (``solver="lmg"``) resolve to the array kernels automatically,
 while ``get_solver("msr", "lmg", backend="dict")`` keeps the reference
-path and ``backend="numba"`` picks the optional compiled kernels of
-:mod:`repro.fastgraph.native` (plan-identical too; raises a clear
-error when numba is not installed — see :data:`HAVE_NUMBA`).  See
-:mod:`repro.algorithms.registry`.
+path.  See :mod:`repro.algorithms.registry`.
 """
 
 from .compiled import CompiledGraph
-from .native import HAVE_NUMBA, bmr_lmg_native, lmg_all_native, lmg_native
 from .plantree import ArrayPlanTree
 from .solvers import bmr_lmg_array, lmg_all_array, lmg_array, mp_array, mp_local_array
 from .trajectory import (
@@ -76,10 +72,6 @@ __all__ = [
     "mp_array",
     "bmr_lmg_array",
     "mp_local_array",
-    "HAVE_NUMBA",
-    "lmg_native",
-    "lmg_all_native",
-    "bmr_lmg_native",
     "SweepEntry",
     "sweep_greedy",
     "sweep_greedy_msr",

@@ -133,23 +133,18 @@ class TestSpecRouting:
 
 
 class TestRegistryDiscipline:
-    def test_flags_table_subscripts_and_shims(self):
+    def test_flags_table_subscripts(self):
         findings = run_rule(
             "registry-discipline",
             """\
-            from repro.algorithms.registry import SOLVERS, get_msr_solver
+            from repro.algorithms.registry import SOLVERS
 
             def pick(name):
-                solver = SOLVERS[("msr", name)]
-                legacy = get_msr_solver(name)
-                return solver, legacy
+                return SOLVERS[("msr", name)]
             """,
         )
-        assert all(f.rule == "registry-discipline" for f in findings)
-        # the deprecated import itself, the subscript, and the shim call
-        assert 1 in lines_of(findings)
-        assert 4 in lines_of(findings)
-        assert 5 in lines_of(findings)
+        assert [f.rule for f in findings] == ["registry-discipline"]
+        assert lines_of(findings) == [4]
 
     def test_getters_pass(self):
         findings = run_rule(

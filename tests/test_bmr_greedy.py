@@ -18,7 +18,7 @@ import pytest
 from repro.algorithms import mp
 from repro.algorithms.bmr_greedy import bmr_lmg, mp_local
 from repro.algorithms.dp_bmr import dp_bmr_heuristic
-from repro.algorithms.registry import get_bmr_solver
+from repro.algorithms.registry import get_solver
 from repro.core.solution import PlanTree
 from repro.core.tolerance import within_budget, within_budget_recomputed
 from repro.core.problems import evaluate_plan
@@ -132,8 +132,8 @@ class TestRegistryIntegration:
         g = random_digraph(10, seed=30)
         rb = g.max_retrieval_cost()
         for name in ("bmr-lmg", "mp-local"):
-            fast = get_bmr_solver(name)
-            ref = get_bmr_solver(name, backend="dict")
+            fast = get_solver("bmr", name)
+            ref = get_solver("bmr", name, backend="dict")
             assert fast(g, rb) == ref(g, rb)
             assert fast(g, -1.0) is None and ref(g, -1.0) is None
 

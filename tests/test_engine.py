@@ -11,7 +11,7 @@ The ISSUE-3 acceptance bar, pinned here:
 import numpy as np
 import pytest
 
-from repro.algorithms.registry import get_engine_solver, get_msr_solver
+from repro.algorithms.registry import get_engine_solver, get_solver
 from repro.core.graph import AUX, GraphError, GraphMutation, VersionGraph
 from repro.core.solution import PlanTree
 from repro.engine import IngestEngine
@@ -230,7 +230,7 @@ class TestBatchSubtreeShift:
         g = random_digraph(40, seed=10, extra_edge_prob=0.4)
         budget = repo_budget(g, span=1.6)
         ref = lmg_all(g, budget)
-        arr = get_msr_solver("lmg-all")(g, budget)
+        arr = get_solver("msr", "lmg-all")(g, budget)
         assert ref.to_plan() == arr
         tree = ArrayPlanTree.from_parent_map(g.compile(), ref.parent)
         assert tree.total_retrieval == pytest.approx(ref.total_retrieval)
@@ -247,7 +247,7 @@ class TestIngestEngineEquivalence:
         for stats in engine.ingest_repository(repo):
             assert stats.storage <= budget * (1 + 1e-9) + 1e-6
         tree = engine.resolve()
-        ref = get_engine_solver(solver)(batch.compile(), budget)
+        ref = get_engine_solver("msr", solver)(batch.compile(), budget)
         assert tree.to_plan() == ref.to_plan()
         assert tree.total_storage == ref.total_storage
         assert tree.total_retrieval == ref.total_retrieval

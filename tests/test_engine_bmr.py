@@ -29,7 +29,7 @@ class TestBMREngineEquivalence:
         for stats in engine.ingest_repository(repo):
             assert within_budget(stats.max_retrieval, budget)
         tree = engine.resolve()
-        ref = get_engine_solver(solver, "bmr")(batch.compile(), budget)
+        ref = get_engine_solver("bmr", solver)(batch.compile(), budget)
         assert tree.to_plan() == ref.to_plan()
         assert tree.total_storage == ref.total_storage
         assert tree.total_retrieval == ref.total_retrieval

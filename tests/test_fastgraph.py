@@ -16,7 +16,7 @@ from repro.core.graph import AUX, GraphError, VersionGraph
 from repro.core.solution import PlanTree
 from repro.algorithms import lmg, lmg_all, mp, min_storage_plan_tree
 from repro.algorithms.arborescence import min_storage_arborescence
-from repro.algorithms.registry import get_bmr_solver, get_msr_solver
+from repro.algorithms.registry import BACKENDS, SOLVERS, get_solver
 from repro.fastgraph import ArrayPlanTree, CompiledGraph, lmg_all_array, lmg_array, mp_array
 from repro.fastgraph.arborescence import min_storage_parent_edges
 from repro.gen import natural_graph, random_digraph
@@ -300,32 +300,33 @@ class TestKernelEquivalence:
 
 class TestRegistryBackends:
     def test_default_is_array(self):
-        from repro.algorithms import registry
-
-        assert get_msr_solver("lmg") is registry.MSR_SOLVERS["lmg"]
-        assert get_msr_solver("lmg") is registry.BACKENDS[("msr", "lmg")]["array"]
-        assert get_bmr_solver("mp") is registry.BACKENDS[("bmr", "mp")]["array"]
+        assert get_solver("msr", "lmg") is SOLVERS[("msr", "lmg")]
+        assert get_solver("msr", "lmg") is BACKENDS[("msr", "lmg")]["array"]
+        assert get_solver("bmr", "mp") is BACKENDS[("bmr", "mp")]["array"]
 
     def test_backends_agree_through_registry(self):
+        # every registered dict/array pair, feasible and infeasible
         g = random_digraph(10, seed=30)
         base = min_storage_plan_tree(g).total_storage
-        for name in ("lmg", "lmg-all"):
-            fast = get_msr_solver(name)
-            ref = get_msr_solver(name, backend="dict")
-            assert fast(g, base * 2) == ref(g, base * 2)
-            assert fast(g, base - 1) is None and ref(g, base - 1) is None
-        fast = get_bmr_solver("mp")
-        ref = get_bmr_solver("mp", backend="dict")
-        rb = g.max_retrieval_cost()
-        assert fast(g, rb) == ref(g, rb)
+        feasible = {"msr": base * 2, "bmr": g.max_retrieval_cost()}
+        infeasible = {"msr": base - 1, "bmr": -1.0}
+        for problem, name in BACKENDS:
+            fast = get_solver(problem, name)
+            ref = get_solver(problem, name, backend="dict")
+            plan = fast(g, feasible[problem])
+            assert plan is not None, (problem, name)
+            assert plan == ref(g, feasible[problem]), (problem, name)
+            low = infeasible[problem]
+            assert fast(g, low) is None and ref(g, low) is None, (problem, name)
 
     def test_backend_ignored_for_non_greedy(self):
-        assert get_msr_solver("dp-msr", backend="dict") is get_msr_solver("dp-msr")
-        assert get_msr_solver("dp-msr", backend="array") is get_msr_solver("dp-msr")
+        dp = get_solver("msr", "dp-msr")
+        assert get_solver("msr", "dp-msr", backend="dict") is dp
+        assert get_solver("msr", "dp-msr", backend="array") is dp
 
     def test_unknown_backend_raises(self):
         with pytest.raises(KeyError):
-            get_msr_solver("lmg", backend="gpu")
+            get_solver("msr", "lmg", backend="gpu")
 
     def test_solvers_accept_compiled_graph(self):
         g = random_digraph(9, seed=31)

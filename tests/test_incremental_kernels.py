@@ -1,11 +1,9 @@
 """Three-way plan identity for the incremental greedy kernels.
 
 The incremental kernels (:mod:`repro.fastgraph.solvers`), the frozen
-rescan baselines (:mod:`repro.fastgraph.rescan`) and the optional
-native kernels (:mod:`repro.fastgraph.native`, exercised through the
-pure-python ``njit`` fallback when numba is absent) are three
-independent implementations of the same greedy loops.  All must
-produce *bit-identical* plans to each other and to the dict reference,
+rescan baselines (:mod:`repro.fastgraph.rescan`) and the dict reference
+solvers are three independent implementations of the same greedy
+loops.  All must produce *bit-identical* plans to each other,
 across presets, random graphs and budget regimes — this is the
 non-negotiable acceptance bar for the incremental rewrite.
 
@@ -22,8 +20,7 @@ import pytest
 from repro.algorithms.bmr_greedy import bmr_lmg
 from repro.algorithms.lmg import lmg
 from repro.algorithms.lmg_all import lmg_all
-from repro.fastgraph import native, rescan
-from repro.fastgraph import solvers as solvers_mod
+from repro.fastgraph import rescan
 from repro.fastgraph.solvers import (
     _materialized_array_tree,
     _min_storage_array_tree,
@@ -77,11 +74,6 @@ class TestThreeWayIdentity:
             assert ref.parent == arr.parent_map(), (name, budget)
             res = rescan.lmg_array_rescan(graph, budget)
             assert_same_tree(arr, res)
-            cg = graph.compile()
-            nat = native._lmg_native_tree(
-                cg, budget, solvers_mod._lmg_default_rounds(cg)
-            )
-            assert_same_tree(arr, nat)
 
     @pytest.mark.parametrize("name,graph", list(graphs()))
     def test_lmg_all_variants_match_dict(self, name, graph):
@@ -91,11 +83,6 @@ class TestThreeWayIdentity:
             assert ref.parent == arr.parent_map(), (name, budget)
             res = rescan.lmg_all_array_rescan(graph, budget)
             assert_same_tree(arr, res)
-            cg = graph.compile()
-            nat = native._lmg_all_native_tree(
-                cg, budget, solvers_mod._lmg_all_default_rounds(cg)
-            )
-            assert_same_tree(arr, nat)
 
     @pytest.mark.parametrize("name,graph", list(graphs()))
     def test_bmr_lmg_variants_match_dict(self, name, graph):
@@ -105,11 +92,6 @@ class TestThreeWayIdentity:
             assert ref.parent == arr.parent_map(), (name, budget)
             res = rescan.bmr_lmg_array_rescan(graph, budget)
             assert_same_tree(arr, res)
-            cg = graph.compile()
-            nat = native._bmr_native_tree(
-                cg, budget, solvers_mod._bmr_default_rounds(cg)
-            )
-            assert_same_tree(arr, nat)
 
     def test_infeasible_budgets_raise_everywhere(self):
         graph = random_digraph(30, seed=3)
@@ -204,29 +186,3 @@ class TestSwapPathEquivalence:
             cold = tree.clone().subtree_max_retrieval()  # cold rebuild
             assert np.array_equal(got, cold)
 
-
-class TestNativeBackendSeam:
-    def test_missing_numba_raises_clearly(self):
-        if native.HAVE_NUMBA:
-            pytest.skip("numba installed: the guard never fires")
-        graph = random_digraph(10, seed=1)
-        with pytest.raises(Exception, match="requires the optional numba"):
-            native.lmg_native(graph, 1e9)
-
-    @pytest.mark.skipif(not native.HAVE_NUMBA, reason="numba not installed")
-    def test_public_native_solvers_match_array(self):
-        graph = random_digraph(80, extra_edge_prob=0.2, seed=4)
-        budget = _min_storage_array_tree(graph.compile()).total_storage * 2.0
-        assert_same_tree(native.lmg_native(graph, budget), lmg_array(graph, budget))
-        assert_same_tree(
-            native.lmg_all_native(graph, budget), lmg_all_array(graph, budget)
-        )
-        cg = graph.compile()
-        top = float(cg.edge_retrieval.max()) * 4.0
-        assert_same_tree(native.bmr_lmg_native(graph, top), bmr_lmg_array(graph, top))
-
-    def test_registry_exposes_numba_backend(self):
-        from repro.algorithms.registry import BACKENDS
-
-        for key in (("msr", "lmg"), ("msr", "lmg-all"), ("bmr", "bmr-lmg")):
-            assert "numba" in BACKENDS[key]

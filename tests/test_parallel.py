@@ -79,13 +79,13 @@ class TestSweeps:
         # the trajectory-replay task must be plan-identical to fresh
         # per-budget solves through the registry
         from repro.core.problems import evaluate_plan
-        from repro.algorithms.registry import MSR_SOLVERS
+        from repro.algorithms.registry import get_solver
 
         base = min_storage_plan_tree(graph).total_storage
         budgets = [base * f for f in (1.05, 1.4, 2.2)]
         pts = sweep_msr(graph, ["lmg", "lmg-all"], budgets, processes=1)
         for p in pts:
-            plan = MSR_SOLVERS[p.solver](graph, p.budget)
+            plan = get_solver("msr", p.solver)(graph, p.budget)
             assert p.score == evaluate_plan(graph, plan)
 
     def test_worker_initializer_under_spawn(self, graph):

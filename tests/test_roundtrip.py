@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import VersionGraph, evaluate_plan
 from repro.core.instances import figure1_graph
-from repro.algorithms.registry import BMR_SOLVERS, MSR_SOLVERS
+from repro.algorithms.registry import SOLVERS, get_solver
 from repro.algorithms import min_storage_plan_tree
 from repro.gen import natural_graph, random_digraph
 
@@ -64,11 +64,11 @@ class TestRoundTrip:
         assert back.num_deltas == graph.num_deltas
         assert back.total_version_storage() == graph.total_version_storage()
 
-    @pytest.mark.parametrize("solver", sorted(MSR_SOLVERS))
+    @pytest.mark.parametrize("solver", sorted(n for p, n in SOLVERS if p == "msr"))
     def test_msr_solvers_cost_stable(self, label, graph, solver):
         back = VersionGraph.from_json(graph.to_json())
         base = min_storage_plan_tree(graph).total_storage
-        fn = MSR_SOLVERS[solver]
+        fn = get_solver("msr", solver)
         for frac in (1.05, 2.0):
             budget = base * frac
             plan = fn(graph, budget)
@@ -80,11 +80,11 @@ class TestRoundTrip:
             b = plan_cost(back, plan_back)
             assert a == pytest.approx(b, rel=1e-9, abs=1e-9), (label, solver, frac)
 
-    @pytest.mark.parametrize("solver", sorted(BMR_SOLVERS))
+    @pytest.mark.parametrize("solver", sorted(n for p, n in SOLVERS if p == "bmr"))
     def test_bmr_solvers_cost_stable(self, label, graph, solver):
         back = VersionGraph.from_json(graph.to_json())
         rmax = graph.max_retrieval_cost()
-        fn = BMR_SOLVERS[solver]
+        fn = get_solver("bmr", solver)
         for budget in (0.0, rmax * 2):
             plan = fn(graph, budget)
             plan_back = fn(back, budget)

@@ -17,7 +17,7 @@ import pytest
 from repro.core import VersionGraph, budget_cap, evaluate_plan, within_budget
 from repro.core.graph import GraphError
 from repro.algorithms import min_storage_plan_tree
-from repro.algorithms.registry import MSR_SOLVERS, get_msr_sweep
+from repro.algorithms.registry import get_solver, get_sweep
 from repro.bench.harness import run_msr_experiment
 from repro.fastgraph import (
     GREEDY_SWEEP_SOLVERS,
@@ -200,10 +200,10 @@ class TestTrajectorySweep:
         assert [e.plan for e in with_edges] == [e.plan for e in without]
 
     def test_registry_sweep_lookup(self):
-        assert get_msr_sweep("lmg") is not None
-        assert get_msr_sweep("lmg-all") is not None
-        assert get_msr_sweep("dp-msr") is None
-        assert get_msr_sweep("nope") is None
+        assert get_sweep("msr", "lmg") is not None
+        assert get_sweep("msr", "lmg-all") is not None
+        assert get_sweep("msr", "dp-msr") is None
+        assert get_sweep("msr", "nope") is None
 
 
 class TestHarnessUsesSweep:
@@ -218,7 +218,7 @@ class TestHarnessUsesSweep:
             series = result.objective[name]
             assert series.x == budgets
             for b, y in zip(series.x, series.y):
-                plan = MSR_SOLVERS[name](g, b)
+                plan = get_solver("msr", name)(g, b)
                 expect = (
                     math.inf if plan is None else evaluate_plan(g, plan).sum_retrieval
                 )
@@ -359,7 +359,7 @@ class TestSweepCLI:
         for name in ("lmg", "lmg-all"):
             assert payload["objective"][name]["x"] == budgets
             for b, y in zip(budgets, payload["objective"][name]["y"]):
-                plan = MSR_SOLVERS[name](g2, b)
+                plan = get_solver("msr", name)(g2, b)
                 assert y == evaluate_plan(g2, plan).sum_retrieval
         assert rc == 0
 
