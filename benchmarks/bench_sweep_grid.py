@@ -80,6 +80,33 @@ def _count_live_moves(run_fn):
     return wrapped, counter
 
 
+def _cold(g):
+    """A fresh compile of ``g``, built outside the timers.
+
+    The start tree is cached per compiled graph, so a path timed on a
+    shared compile would skip the Edmonds run an independent solve pays
+    for.  Each sweep and each independent solve runs on its own cold
+    compile, so both sides include the start tree.
+    """
+    cold = g.copy()
+    cold.compile()
+    return cold
+
+
+def _independent(solve, g, grid) -> tuple[list, float]:
+    """Solve, export and score every budget, each on a cold compile;
+    returns the results and the summed solve time."""
+    results = []
+    seconds = 0.0
+    for b in grid:
+        cold = _cold(g)
+        t0 = time.perf_counter()
+        plan = solve(cold, b).to_plan()
+        results.append((plan, evaluate_plan(g, plan)))
+        seconds += time.perf_counter() - t0
+    return results, seconds
+
+
 def bench_dense_sharing(g, points: int) -> dict:
     """LMG-All on a dense grid: the continuation-sharing regime.
 
@@ -96,19 +123,15 @@ def bench_dense_sharing(g, points: int) -> dict:
     original = _traj.TRAJECTORY_SOLVERS[("msr", "lmg-all")]
     patched = type(original)(original.start, wrapped, original.rounds)
     _traj.TRAJECTORY_SOLVERS[("msr", "lmg-all")] = patched
+    cold = _cold(g)
     try:
         t0 = time.perf_counter()
-        entries = sweep_greedy_msr(g, "lmg-all", grid)
+        entries = sweep_greedy_msr(cold, "lmg-all", grid)
         sweep_s = time.perf_counter() - t0
     finally:
         _traj.TRAJECTORY_SOLVERS[("msr", "lmg-all")] = original
     # symmetric work on the independent side: solve, export, score
-    t0 = time.perf_counter()
-    independent = []
-    for b in grid:
-        plan = lmg_all_array(g, b).to_plan()
-        independent.append((plan, evaluate_plan(g, plan)))
-    indep_s = time.perf_counter() - t0
+    independent, indep_s = _independent(lmg_all_array, g, grid)
     identical = all(
         e.plan == p and e.score == s for e, (p, s) in zip(entries, independent)
     )
@@ -142,20 +165,15 @@ def bench_sweep(g, points: int) -> list[dict]:
 
     rows = []
     for name, solve in SOLVERS.items():
+        cold = _cold(g)
         t0 = time.perf_counter()
-        entries = sweep_greedy_msr(g, name, grid)
+        entries = sweep_greedy_msr(cold, name, grid)
         sweep_s = time.perf_counter() - t0
 
         # independent path does the same work the pre-sweep harness did
         # per budget — solve, export, score — so the timing is symmetric
         # with the sweep (whose entries carry plans and scores too)
-        t0 = time.perf_counter()
-        independent = []
-        for b in grid:
-            tree = solve(g, b)
-            plan = tree.to_plan()
-            independent.append((plan, evaluate_plan(g, plan)))
-        indep_s = time.perf_counter() - t0
+        independent, indep_s = _independent(solve, g, grid)
 
         identical = all(
             e.plan == plan and e.score == score

@@ -16,6 +16,10 @@ schema:
   flags like ``all_plans_identical``, feasibility flags, ``sweep_never_
   slower``).  A ``True → False`` transition is always a regression, no
   margin applies.  Baselines that are already ``False`` gate nothing.
+* **work counters** — top-level integer keys ending in ``_rounds``
+  (e.g. ``edmonds_rounds``).  Counts depend only on the input, not on
+  the machine, so they get no margin: any candidate above the baseline
+  is a regression.  Lower is better.
 
 A tracked metric that is missing (or ``null``) in the candidate is a
 *structural* failure — the bench stopped reporting something the gate
@@ -29,7 +33,7 @@ CI):
 * ``2`` — bad input: unreadable/illegal JSON, no baseline for a
   candidate, or a tracked metric missing from the candidate.
 
-The default margin is **0.5**: a tracked speedup may lose up to half
+The default margin is **0.5** (speedups only): a tracked speedup may lose up to half
 its baseline value before the gate trips.  That is deliberately loose —
 shared CI runners routinely halve a ratio through noisy neighbors — so
 the gate catches order-of-magnitude collapses ("the incremental kernel
@@ -71,13 +75,20 @@ def _is_speedup_key(key: str) -> bool:
     return key.endswith("_speedup") or key == "min_speedup"
 
 
+def _is_count(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def tracked_metrics(baseline: dict) -> dict[str, object]:
     """The metrics of ``baseline`` that the gate watches (see module
-    docstring): non-null top-level speedup ratios and True booleans."""
+    docstring): non-null top-level speedup ratios, True booleans and
+    integer ``*_rounds`` counters."""
     out: dict[str, object] = {}
     for key, value in baseline.items():
         if _is_speedup_key(key) and isinstance(value, (int, float)):
             out[key] = float(value)
+        elif key.endswith("_rounds") and _is_count(value):
+            out[key] = value
         elif value is True:
             out[key] = True
     return out
@@ -90,7 +101,7 @@ def compare_payloads(
 
     Returns one :class:`MetricDiff` per tracked metric, in baseline key
     order.  ``margin`` is the relative slack for speedup ratios; gate
-    booleans are exact.
+    booleans and work counters are exact.
     """
     diffs: list[MetricDiff] = []
     for key, base in tracked_metrics(baseline).items():
@@ -103,6 +114,17 @@ def compare_payloads(
             else:
                 status = "regression"
             diffs.append(MetricDiff(key, True, cand, status))
+            continue
+        if _is_count(base):
+            if not _is_count(cand):
+                status = "missing"
+            elif cand > base:
+                status = "regression"
+            elif cand < base:
+                status = "improved"
+            else:
+                status = "ok"
+            diffs.append(MetricDiff(key, base, cand, status))
             continue
         if not isinstance(cand, (int, float)) or isinstance(cand, bool):
             diffs.append(MetricDiff(key, base, cand, "missing"))
@@ -129,6 +151,8 @@ def format_report(
     for d in diffs:
         if d.baseline is True:
             detail = f"{d.baseline} -> {d.candidate}"
+        elif _is_count(d.baseline):
+            detail = f"{d.baseline} -> {d.candidate!r} (ceiling {d.baseline})"
         elif isinstance(d.candidate, float):
             floor = float(d.baseline) * (1.0 - margin)  # type: ignore[arg-type]
             detail = (

@@ -83,6 +83,16 @@ def _cmd_figure(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usage_error(err: Exception) -> int:
+    """Print ``err`` as an ``error:`` line and return the usage exit code.
+
+    A ``KeyError`` prints its message, not its quoted ``str()``.
+    """
+    msg = err.args[0] if isinstance(err, KeyError) and err.args else err
+    print(f"error: {msg}", file=sys.stderr)
+    return 2
+
+
 def _load_graph(
     path: str | None, dataset: str | None = None, scale: float = 1.0
 ) -> VersionGraph:
@@ -103,7 +113,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     except (OSError, GraphError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    solver = get_solver(args.problem, args.solver, backend=args.backend)
+    try:
+        solver = get_solver(args.problem, args.solver, backend=args.backend)
+    except KeyError as err:
+        return _usage_error(err)
     try:
         plan = solver(graph, args.budget)
     except GraphError as err:
@@ -164,8 +177,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     try:
         graph = _load_graph(args.graph, args.dataset, args.scale)
     except (OSError, KeyError, GraphError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _usage_error(err)
 
     default_solvers = ",".join(spec.default_panel_solvers)
     solvers = [
@@ -187,8 +199,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             graph, problem=spec.name, name="sweep", solvers=solvers, budgets=budgets
         )
     except KeyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _usage_error(err)
 
     # strict JSON: inf points are null; "problem"/"budget_kind" tell
     # downstream parsers whether budgets cap storage (MSR) or retrieval
@@ -244,8 +255,7 @@ def _run_sharded_ingest(args, repo, budget, budget_factor) -> int:
             name=f"ingest-{args.seed}",
         )
     except (KeyError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _usage_error(err)
 
     every = max(1, args.every)
     entries = []
@@ -372,8 +382,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
             name=f"ingest-{args.seed}",
         )
     except KeyError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _usage_error(err)
 
     every = max(1, args.every)
     entries = []
@@ -654,8 +663,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         ))
         return 0
     except (OSError, GraphError, StoreError, KeyError, _StoreUsageError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        return _usage_error(err)
     except ValueError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 1

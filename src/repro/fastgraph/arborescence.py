@@ -4,25 +4,45 @@ The dict reference (:mod:`repro.algorithms.arborescence`) contracts one
 cycle per level with O(E) Python work per level; bidirectional version
 graphs produce O(V) two-cycles, so the reference costs O(V·E)
 interpreter operations and dominates every greedy MSR solve.  This
-module runs the identical algorithm on flat int/float arrays:
+module computes the identical arborescence on flat int/float arrays, in
+**rounds** that each contract *every* cycle of the current
+cheapest-in-edge functional graph:
 
 * cheapest-incoming selection is two ``np.minimum.at`` scatters
-  (min weight, then first edge index among the minima — the reference's
-  "ties keep the earliest edge" rule);
-* "which cycle does the reference contract first?" is answered without
-  the per-level O(V) path walk: a node's best-incoming walk either ends
-  at the root or on a cycle, so pointer-doubling the best-parent map
-  (``log V`` gathers) classifies all nodes at once and the first
-  first-seen destination not reaching the root is exactly the start the
-  reference's scan would find a cycle from;
-* contraction and unrolling are masked array passes in edge order,
-  preserving the reference's tie-breaking (first minimal relabeled edge
-  per contracted choice).
+  (min weight, then first edge position among the minima — the
+  reference's "ties keep the earliest edge" rule);
+* pointer doubling the best-parent map (``log V`` gathers) finds every
+  node that lies on a cycle and labels each cycle by its smallest id;
+  each cycle becomes one super node;
+* reweighting and relabeling are masked array passes in edge order, so
+  the relative edge order — and with it every tie-break — is the
+  reference's.
 
-Output is the **same arborescence** the dict implementation returns —
-same parent per node, verified by the fastgraph equivalence suite — in
-O(levels · (E + V log V)) vectorized work instead of O(levels · E)
-interpreted work.
+Why contracting all cycles at once yields the reference's answer:
+contracting one cycle changes neither the cheapest in-edge nor the edge
+order of any node outside it, so every other cycle survives unchanged
+and contractions of disjoint cycles commute.  Any contraction order
+therefore reaches the same nested family of cycles, with the same
+cheapest in-edge recorded for every member and the same reweighted
+edges.  The reference's per-level unroll picks, per contracted
+``(parent, child)`` pair, the first minimal relabeled edge; with the
+reduced weights shifted by one constant per cycle that is exactly the
+original edge id the contracted level chose, so the unroll here carries
+parent *edge ids* down the contraction forest instead of re-deriving
+endpoints level by level.
+
+Cost: O(rounds · (E + V log V)) vectorized work plus an O(V) Python
+unroll.  Rounds are far fewer than the reference's levels (155 against
+428 on the 996.ICU preset at 500 versions), but the tail of a
+bidirectional graph still contracts one cycle per round while a single
+super node absorbs its neighbours.  Memory: only the O(E) arrays of the
+current round are live; across rounds the unroll keeps O(V) integers —
+each contracted node's super node and its cycle in-edge.
+
+The start tree of a compiled graph is computed once and cached on the
+:class:`CompiledGraph` (cleared whenever :meth:`CompiledGraph.refresh`
+rebuilds its arrays), so LMG, LMG-All, the sweep and the engine
+re-solve share one Edmonds run.
 """
 
 from __future__ import annotations
@@ -32,7 +52,7 @@ import numpy as np
 from ..core.graph import GraphError
 from .compiled import CompiledGraph
 
-__all__ = ["min_storage_parent_edges"]
+__all__ = ["min_storage_parent_edges", "edmonds_rounds"]
 
 
 def min_storage_parent_edges(cg: CompiledGraph) -> list[tuple[int, int]]:
@@ -40,20 +60,35 @@ def min_storage_parent_edges(cg: CompiledGraph) -> list[tuple[int, int]]:
     ``(version index, parent edge id)`` pairs rooted at AUX.
 
     Plan-identical to ``min_storage_arborescence`` on ``cg.graph``.
-    Raises :class:`GraphError` when some version is unreachable.
+    Raises :class:`GraphError` when some version is unreachable.  The
+    tree is computed on the first call and cached on ``cg``; every call
+    returns a fresh list.
     """
-    root = cg.aux
-    keep = cg.edge_dst != root  # edges into the root are never useful
-    u0 = cg.edge_src[keep]
-    v0 = cg.edge_dst[keep]
-    w0 = cg.edge_storage[keep]
-    eid0 = np.nonzero(keep)[0].astype(np.int64)
+    if cg._start is None:
+        root = cg.aux
+        keep = cg.edge_dst != root  # edges into the root are never useful
+        u0 = cg.edge_src[keep]
+        v0 = cg.edge_dst[keep]
+        w0 = cg.edge_storage[keep]
+        eid0 = np.nonzero(keep)[0].astype(np.int64)
 
-    parent_eid = _edmonds_array(cg.n + 1, root, u0, v0, w0, eid0)
-    missing = [cg.nodes[v] for v in range(cg.n) if parent_eid[v] < 0]
-    if missing:
-        raise GraphError(f"nodes unreachable from root: {missing[:5]!r}")
-    return [(v, int(parent_eid[v])) for v in range(cg.n)]
+        parent_eid, rounds = _edmonds_array(cg.n + 1, root, u0, v0, w0, eid0)
+        missing = [cg.nodes[v] for v in range(cg.n) if parent_eid[v] < 0]
+        if missing:
+            raise GraphError(f"nodes unreachable from root: {missing[:5]!r}")
+        pairs = tuple(enumerate(parent_eid[: cg.n].tolist()))
+        cg._start = (pairs, rounds)
+    return list(cg._start[0])
+
+
+def edmonds_rounds(cg: CompiledGraph) -> int:
+    """Contraction rounds the start tree of ``cg`` took (0 = acyclic).
+
+    A deterministic work counter: it depends only on the graph.
+    """
+    if cg._start is None:
+        min_storage_parent_edges(cg)
+    return cg._start[1]
 
 
 def _best_incoming(
@@ -77,20 +112,19 @@ def _best_incoming(
     return best_w, best_pos
 
 
-def _first_cycle(
+def _cycles(
     num_ids: int,
     root: int,
     u: np.ndarray,
-    v: np.ndarray,
     best_pos: np.ndarray,
-) -> np.ndarray | None:
-    """The cycle the reference scan contracts at this level, or None.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every cycle of the best-parent map: ``(members, min id per member)``.
 
-    The reference walks starts in first-seen destination order and
-    contracts the first cycle a walk closes on.  Every walk ends at the
-    root or on a cycle, and earlier starts cannot silently consume a
-    cycle (they would have contracted it), so the contracted cycle is
-    the one reachable from the first start that does not reach the root.
+    Pointer doubling runs ``g = f^k`` and ``lab = min f^j, j < k`` for
+    ``k`` up to ``num_ids``.  Every walk ends at the root or on a cycle,
+    and ``f^k`` permutes each cycle, so the image of ``g`` is exactly the
+    set of cycle nodes (plus the root); on a cycle, ``lab`` is the
+    cycle's smallest id.
     """
     m = len(u)
     # best-parent functional map; root (and incoming-free nodes) absorb
@@ -98,24 +132,18 @@ def _first_cycle(
     has_in = best_pos < m
     ids = np.nonzero(has_in)[0]
     f[ids] = u[best_pos[ids]]
-    # pointer doubling until every walk of length >= num_ids is resolved
     g = f
+    lab = np.arange(num_ids, dtype=np.int64)
     steps = 1
     while steps < num_ids:
+        lab = np.minimum(lab, lab[g])
         g = g[g]
         steps *= 2
-    cyclic = g[v] != root  # per edge: does its destination reach a cycle?
-    if not cyclic.any():
-        return None
-    # first qualifying destination in edge order == first qualifying
-    # start in the reference's first-seen-destination scan order
-    rep = int(g[v[int(np.argmax(cyclic))]])
-    cycle = [rep]
-    x = int(f[rep])
-    while x != rep:
-        cycle.append(x)
-        x = int(f[x])
-    return np.array(cycle, dtype=np.int64)
+    on_cycle = np.zeros(num_ids, dtype=bool)
+    on_cycle[g] = True
+    on_cycle[root] = False
+    members = np.nonzero(on_cycle)[0]
+    return members, lab[members]
 
 
 def _edmonds_array(
@@ -125,100 +153,94 @@ def _edmonds_array(
     v: np.ndarray,
     w: np.ndarray,
     eid: np.ndarray,
-) -> np.ndarray:
-    """Iterative contraction/unroll; returns parent edge id per base id.
+) -> tuple[np.ndarray, int]:
+    """Round-based contraction, then unroll; returns
+    ``(parent edge id per base id, contraction rounds)``.
 
-    Mirrors ``repro.algorithms.arborescence._edmonds`` level by level;
-    ``eid`` threads the original compiled-graph edge id of every
-    relabeled edge so the final answer is expressed directly in parent
-    *edge* ids (-1 = no parent found / unreachable).
+    ``eid`` names the original edge of every input position; parent
+    edge id -1 means no parent found (the root, or unreachable).
     """
+    m0 = len(u)
+    dst0 = v  # base destination per input position
+    pos = np.arange(m0, dtype=np.int64)  # input position of each live edge
     # each contraction removes a >=2-cycle and adds one super node, so
     # the id space is bounded by twice the base ids
-    levels: list[tuple] = []
-    next_id = num_base_ids
+    cap = 2 * num_base_ids
+    super_of = np.full(cap, -1, dtype=np.int64)  # contraction forest parent
+    cycle_pos = np.full(cap, -1, dtype=np.int64)  # member's cycle in-edge
+    num_ids = num_base_ids
+    rounds = 0
 
     while True:
-        num_ids = next_id
         best_w, best_pos = _best_incoming(num_ids, u, v, w)
-        cycle = _first_cycle(num_ids, root, u, v, best_pos)
-        if cycle is None:
+        members, labels = _cycles(num_ids, root, u, best_pos)
+        if not len(members):
             break
-        super_node = next_id
-        next_id += 1
-        in_cyc = np.zeros(num_ids + 1, dtype=bool)
-        in_cyc[cycle] = True
-        cu, cv = in_cyc[u], in_cyc[v]
-        keep = ~(cu & cv)
-        # displaced cycle edge weight is best_w[v] for edges into the cycle
-        w_new = np.where(cv, w - best_w[v], w)[keep]
-        u_cur, v_cur, eid_cur = u[keep], v[keep], eid[keep]
-        u_new = np.where(cu[keep], super_node, u_cur)
-        v_new = np.where(cv[keep], super_node, v_cur)
-        levels.append(
-            (
-                num_ids,
-                u,  # pre-contraction sources (for cycle-edge completion)
-                eid,  # pre-contraction edge ids
-                best_pos,
-                cycle,
-                super_node,
-                u_cur,
-                v_cur,
-                eid_cur,
-                u_new,
-                v_new,
-                w_new,
-            )
-        )
-        u, v, w, eid = u_new, v_new, w_new, eid_cur
+        rounds += 1
+        # one super node per cycle, numbered in order of the cycle's min id
+        _, cyc = np.unique(labels, return_inverse=True)
+        supers = num_ids + cyc
+        super_of[members] = supers
+        cycle_pos[members] = pos[best_pos[members]]
+        relabel = np.arange(num_ids, dtype=np.int64)
+        relabel[members] = supers
+        into = relabel[v] != v  # destination is a cycle member
+        u_new = relabel[u]
+        v_new = relabel[v]
+        keep = u_new != v_new  # drop edges inside a cycle
+        # displaced cycle edge weight is best_w[v] for edges into a cycle
+        w = np.where(into, w - best_w[v], w)[keep]
+        u, v, pos = u_new[keep], v_new[keep], pos[keep]
+        num_ids = int(supers.max()) + 1
 
-    # base answer over the innermost id space
-    parent = np.full(next_id, -1, dtype=np.int64)
-    parent_eid = np.full(next_id, -1, dtype=np.int64)
+    # top of the contraction forest: the final round's cheapest in-edges
     ids = np.nonzero(best_pos < len(u))[0]
-    parent[ids] = u[best_pos[ids]]
-    parent_eid[ids] = eid[best_pos[ids]]
+    top_pos = np.full(num_ids, -1, dtype=np.int64)
+    top_pos[ids] = pos[best_pos[ids]]
+    parent_pos = _unroll(
+        num_base_ids, top_pos, super_of[:num_ids], cycle_pos[:num_ids], dst0
+    )
+    parent_eid = np.full(num_base_ids, -1, dtype=np.int64)
+    hit = parent_pos >= 0
+    parent_eid[hit] = eid[parent_pos[hit]]
+    return parent_eid, rounds
 
-    for (
-        num_ids,
-        u_lvl,
-        eid_lvl,
-        best_pos,
-        cycle,
-        super_node,
-        u_cur,
-        v_cur,
-        eid_cur,
-        u_new,
-        v_new,
-        w_new,
-    ) in reversed(levels):
-        sub_parent = parent
-        # choose, per contracted (parent, child) pair, the first minimal
-        # relabeled edge — the edge the contracted level effectively used
-        sel = np.nonzero(sub_parent[v_new] == u_new)[0]
-        grp = v_new[sel]
-        choice_w = np.full(num_ids + 1, np.inf)
-        np.minimum.at(choice_w, grp, w_new[sel])
-        at_min = sel[w_new[sel] == choice_w[grp]]
-        choice_pos = np.full(num_ids + 1, len(u_new), dtype=np.int64)
-        np.minimum.at(choice_pos, v_new[at_min], at_min)
 
-        # translate the chosen edges back to this level's endpoints
-        # (includes the edge entering the contracted cycle)
-        parent = np.full(num_ids, -1, dtype=np.int64)
-        parent_eid = np.full(num_ids, -1, dtype=np.int64)
-        chosen = choice_pos[choice_pos < len(u_new)]
-        parent[v_cur[chosen]] = u_cur[chosen]
-        parent_eid[v_cur[chosen]] = eid_cur[chosen]
-        entered_at = -1
-        if choice_pos[super_node] < len(u_new):
-            entered_at = int(v_cur[choice_pos[super_node]])
-        # cycle edges: keep all but the one displaced by the entering edge
-        for x in cycle:
-            if x != entered_at:
-                pos = best_pos[x]
-                parent[x] = u_lvl[pos]
-                parent_eid[x] = eid_lvl[pos]
-    return parent_eid[:num_base_ids]
+def _unroll(
+    num_base_ids: int,
+    top_pos: np.ndarray,
+    super_of: np.ndarray,
+    cycle_pos: np.ndarray,
+    dst0: np.ndarray,
+) -> np.ndarray:
+    """Carry chosen edges down the contraction forest to base nodes.
+
+    Ids never contracted are the forest's tops; ``top_pos`` holds their
+    final in-edge.  A node entered by edge ``e`` passes ``e`` to the
+    member on the path down to ``e``'s base destination; every other
+    member keeps its own cycle in-edge.  A node with no entering edge
+    (``-1``) leaves all its members on their cycle in-edges.  Each
+    forest node is visited once: O(V) interpreter steps.
+    """
+    sup = super_of.tolist()
+    cyc = cycle_pos.tolist()
+    dst = dst0.tolist()
+    kids: list[list[int]] = [[] for _ in range(len(sup) - num_base_ids)]
+    for x, s in enumerate(sup):
+        if s >= 0:
+            kids[s - num_base_ids].append(x)
+    parent_pos = [-1] * num_base_ids
+    stack = [(x, e) for x, (s, e) in enumerate(zip(sup, top_pos.tolist())) if s < 0]
+    while stack:
+        x, e = stack.pop()
+        if e < 0:
+            if x >= num_base_ids:
+                stack.extend((c, cyc[c]) for c in kids[x - num_base_ids])
+            continue
+        y = dst[e]
+        parent_pos[y] = e
+        while y != x:
+            s = sup[y]
+            stack.extend((c, cyc[c]) for c in kids[s - num_base_ids] if c != y)
+            y = s
+    return np.array(parent_pos, dtype=np.int64)

@@ -172,6 +172,7 @@ class CompiledGraph:
         "_stale",
         "index_dtype",
         "_str_order",
+        "_start",
     )
 
     def __init__(
@@ -210,6 +211,9 @@ class CompiledGraph:
             _check_index_capacity(n, m + n, idt)
         self.index_dtype = idt
         self._str_order: np.ndarray | None = None
+        # (start-tree pairs, Edmonds rounds), filled lazily by
+        # ``arborescence.min_storage_parent_edges``; refresh() clears it
+        self._start: tuple[tuple[tuple[int, int], ...], int] | None = None
         src = np.empty(m, dtype=idt)
         dst = np.empty(m, dtype=idt)
         es = np.empty(m, dtype=np.float64)
@@ -328,6 +332,7 @@ class CompiledGraph:
         """
         if not self._stale:
             return self
+        self._start = None  # the arrays are rebuilt below
         if _index_span(self.n, self.num_edges) > np.iinfo(self.index_dtype).max:
             # appends outgrew int32: upgrade in place before rebuilding
             self.index_dtype = np.dtype(np.int64)
@@ -455,6 +460,7 @@ class CompiledGraph:
         new._m_real = self._m_real
         new.index_dtype = self.index_dtype
         new._str_order = self._str_order
+        new._start = self._start  # immutable, and the arrays are shared
         new._pend_nodes = []
         new._pend_edges = []
         new._dead_nodes = set()

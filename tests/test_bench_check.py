@@ -95,6 +95,57 @@ class TestTracking:
         assert diffs["min_speedup"] == "missing"
 
 
+class TestWorkCounters:
+    """Integer ``*_rounds`` keys are gated exactly: counts do not jitter."""
+
+    BASE = {
+        "edmonds_rounds": 155,
+        "float_rounds": 3.5,  # not an integer count: untracked
+        "flag_rounds": True,  # a bool is a gate boolean, not a count
+        "nodes": 500,  # integers without the suffix stay untracked
+    }
+
+    def test_tracking(self):
+        assert tracked_metrics(self.BASE) == {
+            "edmonds_rounds": 155,
+            "flag_rounds": True,
+        }
+
+    @pytest.mark.parametrize(
+        "cand,status",
+        [(155, "ok"), (120, "improved"), (156, "regression"), (155.0, "missing"),
+         (None, "missing"), (True, "missing")],
+    )
+    def test_statuses(self, cand, status):
+        diffs = {
+            d.key: d.status
+            for d in compare_payloads(self.BASE, {**self.BASE, "edmonds_rounds": cand})
+        }
+        assert diffs["edmonds_rounds"] == status
+
+    def test_no_margin_applies(self):
+        cand = {**self.BASE, "edmonds_rounds": 156}
+        (diff,) = [
+            d for d in compare_payloads(self.BASE, cand, margin=10.0)
+            if d.key == "edmonds_rounds"
+        ]
+        assert diff.status == "regression"
+
+    def test_report_shows_ceiling(self):
+        cand = {**self.BASE, "edmonds_rounds": 156}
+        report = format_report("BENCH_x.json", compare_payloads(self.BASE, cand))
+        assert "REGRESSION  edmonds_rounds: 155 -> 156 (ceiling 155)" in report
+
+    def test_exit_codes(self, tmp_path):
+        base = write(tmp_path, "BENCH_a.json", self.BASE)
+        for rounds, code in ((155, 0), (154, 0), (156, 1)):
+            candp = write(tmp_path, "cand.json", {**self.BASE, "edmonds_rounds": rounds})
+            assert main([str(candp), "--baseline", str(base), "--margin", "0.9"]) == code
+        missing = {k: v for k, v in self.BASE.items() if k != "edmonds_rounds"}
+        candp = write(tmp_path, "cand.json", missing)
+        assert main([str(candp), "--baseline", str(base)]) == 2
+
+
 class TestReport:
     def test_report_shows_floor_and_tags(self):
         cand = dict(BASE)

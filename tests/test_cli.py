@@ -81,9 +81,21 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["max_retrieval"] <= 600
 
-    def test_unknown_solver(self, graph_file):
-        with pytest.raises(KeyError):
-            main(["solve", "msr", graph_file, "--budget", "21000", "--solver", "nope"])
+    def test_unknown_solver(self, graph_file, capsys):
+        rc = main(["solve", "msr", graph_file, "--budget", "21000", "--solver", "nope"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: unknown MSR solver 'nope'; options:")
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+
+    def test_wrong_family_solver_exits_2(self, graph_file, capsys):
+        # 'mp' is a BMR solver: a usage error (2), not infeasible (1)
+        rc = main(["solve", "msr", graph_file, "--budget", "1e12", "--solver", "mp"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown MSR solver 'mp'; ")
+        assert err.rstrip().endswith("use get_solver('bmr', 'mp'))")
 
 
 class TestDataset:
@@ -307,6 +319,17 @@ class TestStore:
         ])
         assert rc == 1
         assert "infeasible" in capsys.readouterr().err
+
+    def test_materialize_wrong_family_solver_exits_2(self, tmp_path, capsys):
+        rc = main([
+            "store", "materialize", "--dir", str(tmp_path / "s"),
+            "--commits", "20", "--budget-factor", "4", "--solver", "mp",
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err
+        # the registry message itself, not its quoted KeyError str()
+        assert err.startswith("error: unknown MSR solver 'mp'; ")
+        assert not err.startswith('error: "')
 
     def test_both_budget_flags_exit_2(self, tmp_path, capsys):
         # passing both flags is a usage error (exit 2, "error:"), not an

@@ -18,7 +18,10 @@ from repro.algorithms import lmg, lmg_all, mp, min_storage_plan_tree
 from repro.algorithms.arborescence import min_storage_arborescence
 from repro.algorithms.registry import BACKENDS, SOLVERS, get_solver
 from repro.fastgraph import ArrayPlanTree, CompiledGraph, lmg_all_array, lmg_array, mp_array
-from repro.fastgraph.arborescence import min_storage_parent_edges
+from repro.fastgraph.arborescence import (
+    edmonds_rounds,
+    min_storage_parent_edges,
+)
 from repro.gen import natural_graph, random_digraph
 from repro.gen.presets import PRESETS
 
@@ -228,6 +231,142 @@ class TestArrayArborescence:
         g.add_delta("a", "b", 1, 1)
         cg = g.compile()  # extends internally: reachable via AUX
         assert len(min_storage_parent_edges(cg)) == 2
+
+
+class TestStartTreeCache:
+    """One Edmonds run per compiled graph, never a stale tree."""
+
+    @staticmethod
+    def fresh(graph):
+        """Start tree of a from-scratch compile of ``graph``."""
+        return min_storage_parent_edges(graph.copy().compile())
+
+    def test_repeated_calls_return_equal_independent_lists(self):
+        cg = natural_graph(40, seed=3).compile()
+        first = min_storage_parent_edges(cg)
+        second = min_storage_parent_edges(cg)
+        assert first == second and first is not second
+        first.clear()
+        second[0] = (0, -1)
+        assert min_storage_parent_edges(cg) == self.fresh(cg.graph)
+
+    @staticmethod
+    def _tree_edge(graph):
+        """A non-AUX start-tree edge ``(u, v)`` of ``graph``."""
+        cg = graph.compile()
+        for v, e in min_storage_parent_edges(cg):
+            u = int(cg.edge_src[e])
+            if u != cg.aux:
+                return cg.nodes[u], cg.nodes[v]
+        raise AssertionError("start tree materializes every version")
+
+    def _mutate(self, graph, kind):
+        if kind == "add_version":
+            graph.add_version("new", 1.0)
+            graph.add_delta("new", graph.versions[0], 0.5, 1.0)
+        elif kind == "add_delta":
+            # a near-free delta into a version the tree pays a delta for
+            u, v = self._tree_edge(graph)
+            src = next(
+                x for x in graph.versions if x not in (u, v) and not graph.has_delta(x, v)
+            )
+            graph.add_delta(src, v, 1e-3, 1.0)
+        elif kind == "remove_delta":
+            graph.remove_delta(*self._tree_edge(graph))
+        else:  # remove_version, compacted by the next compile
+            graph.remove_version(self._tree_edge(graph)[0])
+
+    @pytest.mark.parametrize(
+        "kind", ["add_version", "add_delta", "remove_delta", "remove_version"]
+    )
+    def test_mutation_yields_fresh_compile_tree(self, kind):
+        graph = natural_graph(40, seed=5)
+        cg = graph.compile()
+        before = min_storage_parent_edges(cg)
+        self._mutate(graph, kind)
+        assert graph.compile() is cg  # absorbed in place, not recompiled
+        after = min_storage_parent_edges(cg)
+        assert after == self.fresh(graph)
+        assert after != before
+
+    def test_int64_upcast_yields_fresh_compile_tree(self):
+        from repro.core.graph import GraphMutation
+
+        graph = natural_graph(30, seed=6)  # span 90: fits int8
+        cg = CompiledGraph(graph, index_dtype=np.int8)
+        min_storage_parent_edges(cg)
+        grown = graph.copy()
+        events = []
+        for i in range(20):  # push the edge span past int8's 127
+            events.append(GraphMutation("add_version", None, f"x{i}", 3.0))
+            events.append(GraphMutation("add_delta", i, f"x{i}", 1.0, 1.0))
+        for ev in events:
+            assert cg.apply_mutation(ev)
+            if ev.kind == "add_version":
+                grown.add_version(ev.v, ev.storage)
+            else:
+                grown.add_delta(ev.u, ev.v, ev.storage, ev.retrieval)
+        cg.refresh()
+        assert cg.index_dtype == np.dtype(np.int64)
+        assert min_storage_parent_edges(cg) == self.fresh(grown)
+
+    def test_cost_update_recomputes(self):
+        graph = natural_graph(40, seed=7)
+        cg = graph.compile()
+        before = min_storage_parent_edges(cg)
+        u, v = self._tree_edge(graph)
+        graph.add_version(v, 1e-3)  # update_version: cheaper to materialize
+        new_cg = graph.compile()
+        assert new_cg is not cg
+        after = min_storage_parent_edges(new_cg)
+        assert after == self.fresh(graph) and after != before
+
+    def test_snapshot_keeps_its_tree(self):
+        graph = natural_graph(40, seed=8)
+        live = graph.compile()
+        snap = live.snapshot()
+        frozen = min_storage_parent_edges(snap)
+        self._mutate(graph, "add_delta")
+        assert min_storage_parent_edges(graph.compile()) != frozen
+        assert min_storage_parent_edges(snap) == frozen
+        # a snapshot taken after the fill carries the cached tree over
+        cached = min_storage_parent_edges(graph.compile())
+        assert min_storage_parent_edges(graph.compile().snapshot()) == cached
+
+    def test_one_edmonds_run_per_compiled_graph(self, monkeypatch):
+        from repro.fastgraph import arborescence
+        from repro.fastgraph.plantree import ArrayPlanTree
+        from repro.fastgraph.trajectory import sweep_greedy
+
+        calls = []
+        real = arborescence._edmonds_array
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(arborescence, "_edmonds_array", counting)
+        cg = natural_graph(60, seed=9).compile()
+        s0 = ArrayPlanTree(cg, min_storage_parent_edges(cg)).total_storage
+        lmg_array(cg, 2 * s0)
+        lmg_all_array(cg, 2 * s0)
+        sweep_greedy(cg, "msr", "lmg", [1.2 * s0, 2 * s0, 4 * s0])
+        assert len(calls) == 1
+
+    def test_rounds_contract_disjoint_cycles_together(self):
+        def graph(deltas):
+            g = VersionGraph()
+            for v in "abcd":
+                g.add_version(v, 10)
+            for u, v, s in deltas:
+                g.add_delta(u, v, s, 1)
+            return g.compile()
+
+        two_cycles = [("a", "b", 1), ("b", "a", 1), ("c", "d", 1), ("d", "c", 1)]
+        assert edmonds_rounds(graph([])) == 0
+        assert edmonds_rounds(graph(two_cycles)) == 1
+        # the two super nodes point at each other: a second round
+        assert edmonds_rounds(graph(two_cycles + [("b", "c", 2), ("d", "a", 2)])) == 2
 
 
 class TestKernelEquivalence:
