@@ -1,35 +1,35 @@
-"""XL scaling tier: incremental kernels vs frozen rescan baselines.
+"""XL scaling tier: the incremental greedy kernels at 1k-100k versions.
 
-Where ``bench_fastgraph_scaling.py`` compares the array kernels against
+Where ``bench_fastgraph_scaling.py`` times the array kernels against
 the *dict* reference (and therefore tops out at a few thousand
-versions), this tier compares the incremental array kernels of
-:mod:`repro.fastgraph.solvers` against the frozen rescan-per-round
-baselines of :mod:`repro.fastgraph.rescan` — both flat-array, so the
-ratio isolates exactly what the incremental rewrite buys.  Three panels
-per tier, written to ``BENCH_xl.json`` at the repository root::
+versions), this tier times the incremental array kernels of
+:mod:`repro.fastgraph.solvers` alone, at the sizes they exist for.
+Three panels per tier, written to ``BENCH_xl.json`` at the repository
+root::
 
-    PYTHONPATH=src python benchmarks/bench_scaling_xl.py          # 20k + 100k
+    PYTHONPATH=src python benchmarks/bench_scaling_xl.py          # 1k + 20k + 100k
     PYTHONPATH=src python benchmarks/bench_scaling_xl.py --smoke  # CI, < 60 s
 
-* **solve** — LMG / LMG-All / BMR-LMG, incremental vs rescan from a
-  *shared* min-storage start.  Edmonds runs once per tier, fresh on the
-  tier's compiled graph: its wall time is reported as
-  ``edmonds_seconds`` (not gated) and its contraction rounds as
-  ``edmonds_rounds``, a work counter gated exactly at the top level.
-  Emits the gated ``*_speedup`` ratios, per-solver plan-identity
-  booleans and the ``xl_gate_5x`` acceptance flag (every tracked
-  speedup >= 5).
-* **sweep** — a budget-grid LMG sweep via trajectory replay, reusing
-  the tier's start edges (absolute seconds, untracked).
+* **solve** — LMG / LMG-All / BMR-LMG round runners, timed from the
+  compiled graph's cached min-storage start (the all-materialized
+  start for BMR).  Edmonds runs once per tier, fresh on the tier's
+  compiled graph: its wall time is reported as ``edmonds_seconds``
+  (not gated) and its contraction rounds as ``edmonds_rounds``, a work
+  counter gated exactly at the top level.  At tiers up to
+  ``DICT_CHECK_CAP`` versions every plan is checked against the dict
+  reference solver (``plans_identical``); above it the dict solvers
+  are priced out and the flag is ``null``.
+* **sweep** — a budget-grid LMG sweep via trajectory replay from the
+  same cached start (absolute seconds, untracked).
 * **ingest** — online append throughput: new versions folded into the
   compiled arrays through the mutation-event path (untracked).
 
-The 100k tier skips everything Edmonds-priced or rescan-priced: it runs
-the BMR family (O(V) materialized start) with capped rounds plus the
-ingest panel, proving capability at scale without hour-long baselines.
-Gating happens on the smoke variant: CI runs ``--smoke`` (writing
-``BENCH_xl_smoke.json``) and feeds it to ``repro-versioning
-bench-check`` against the committed baseline — see docs/benchmarks.md.
+The 100k tier skips everything Edmonds-priced: it runs the BMR family
+(O(V) materialized start) with capped rounds plus the ingest panel,
+proving capability at scale.  Gating happens on the smoke variant: CI
+runs ``--smoke`` (writing ``BENCH_xl_smoke.json``) and feeds it to
+``repro-versioning bench-check`` against the committed baseline — see
+docs/benchmarks.md.
 """
 
 from __future__ import annotations
@@ -42,14 +42,11 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.algorithms.bmr_greedy import bmr_lmg
+from repro.algorithms.lmg import lmg
+from repro.algorithms.lmg_all import lmg_all
 from repro.fastgraph import sweep_greedy_msr
 from repro.fastgraph.arborescence import edmonds_rounds, min_storage_parent_edges
-from repro.fastgraph.plantree import ArrayPlanTree
-from repro.fastgraph.rescan import (
-    _bmr_run_rescan,
-    _lmg_all_run_rescan,
-    _lmg_run_rescan,
-)
 from repro.fastgraph.solvers import (
     _bmr_default_rounds,
     _bmr_run,
@@ -59,6 +56,7 @@ from repro.fastgraph.solvers import (
     _lmg_default_rounds,
     _lmg_run,
     _materialized_array_tree,
+    _min_storage_array_tree,
 )
 from repro.gen.presets import PRESETS
 
@@ -68,12 +66,16 @@ DEFAULT_OUT = REPO_ROOT / "BENCH_xl.json"
 #: Natural preset used for scaling (bidirectional branch/merge history).
 PRESET = "996.ICU"
 
-FULL_SIZES = (20000, 100000)
+FULL_SIZES = (1000, 20000, 100000)
 SMOKE_SIZES = (1000,)
 
-#: Rescan baselines (and the shared Edmonds start) are priced out above
+#: The Edmonds start and uncapped greedy runs are priced out above
 #: this size; larger tiers run capability panels only.
-COMPARE_CAP = 20000
+SOLVE_CAP = 20000
+
+#: The dict reference solvers (O(V·E)-ish) are priced out above this
+#: size; larger tiers report ``plans_identical: null``.
+DICT_CHECK_CAP = 1000
 
 #: Move cap for the capability tiers (full BMR rounds at 100k versions
 #: would apply ~100k moves; the panel only needs a stable rate sample).
@@ -81,11 +83,6 @@ CAPABILITY_ROUNDS = 20000
 
 #: Versions appended by the ingest panel.
 INGEST_APPENDS = 2000
-
-#: Below this tier size the kernel timings are sub-second and their
-#: ratios are dominated by noise, so the gated ``*_speedup`` keys are
-#: withheld (smoke baselines gate the plan-identity booleans only).
-TRACKED_SPEEDUP_MIN_NODES = 5000
 
 
 def _build(nodes: int):
@@ -99,18 +96,11 @@ def _time(fn, *args, **kwargs) -> tuple[float, object]:
     return time.perf_counter() - t0, out
 
 
-def _same_plan(a: ArrayPlanTree, b: ArrayPlanTree) -> bool:
-    return (
-        np.array_equal(a.parent, b.parent)
-        and a.total_storage == b.total_storage
-        and a.total_retrieval == b.total_retrieval
-    )
-
-
-def solve_panel(cg, start_edges) -> tuple[list[dict], dict]:
-    """Incremental vs rescan for the three greedy kernels, shared start."""
-    base = ArrayPlanTree(cg, start_edges)
-    budget = base.total_storage * 2.0
+def solve_panel(graph, cg) -> list[dict]:
+    """The three incremental greedy kernels, checked against the dict
+    reference at tiers up to ``DICT_CHECK_CAP`` versions."""
+    base = _min_storage_array_tree(cg).total_storage
+    budget = base * 2.0
     # materialized retrieval is 0 everywhere (stored-in-full versions
     # reconstruct for free), so the cap must come from the delta edges:
     # twice the worst single-delta retrieval admits real chains while
@@ -121,81 +111,60 @@ def solve_panel(cg, start_edges) -> tuple[list[dict], dict]:
     # of the start admits only a handful of moves at this scale, which
     # times kernel setup instead of the greedy loop.
     full_storage = float(cg.edge_storage[cg.aux_edge].sum())
-    lmg_budget = base.total_storage + 0.1 * (full_storage - base.total_storage)
-
-    def run_lmg(tree):
-        _lmg_run(
-            cg, tree, _lmg_candidates(cg, tree), lmg_budget, _lmg_default_rounds(cg)
-        )
-
-    def run_lmg_rescan(tree):
-        _lmg_run_rescan(
-            cg, tree, _lmg_candidates(cg, tree), lmg_budget, _lmg_default_rounds(cg)
-        )
+    lmg_budget = base + 0.1 * (full_storage - base)
 
     cases = [
         (
             "lmg",
-            lambda: ArrayPlanTree(cg, start_edges),
-            run_lmg,
-            run_lmg_rescan,
+            _min_storage_array_tree,
+            lambda t: _lmg_run(
+                cg, t, _lmg_candidates(cg, t), lmg_budget, _lmg_default_rounds(cg)
+            ),
+            lmg,
             lmg_budget,
         ),
         (
             "lmg-all",
-            lambda: ArrayPlanTree(cg, start_edges),
+            _min_storage_array_tree,
             lambda t: _lmg_all_run(cg, t, budget, _lmg_all_default_rounds(cg)),
-            lambda t: _lmg_all_run_rescan(cg, t, budget, _lmg_all_default_rounds(cg)),
+            lmg_all,
             budget,
         ),
         (
             "bmr-lmg",
-            lambda: _materialized_array_tree(cg),
+            _materialized_array_tree,
             lambda t: _bmr_run(cg, t, retrieval_budget, _bmr_default_rounds(cg)),
-            lambda t: _bmr_run_rescan(
-                cg, t, retrieval_budget, _bmr_default_rounds(cg)
-            ),
+            bmr_lmg,
             retrieval_budget,
         ),
     ]
     rows = []
-    speedups: dict[str, float] = {}
-    for name, make_tree, run_new, run_old, b in cases:
-        tree_new = make_tree()
-        new_s, _ = _time(run_new, tree_new)
-        tree_old = make_tree()
-        old_s, _ = _time(run_old, tree_old)
-        identical = _same_plan(tree_new, tree_old)
-        speedup = old_s / new_s if new_s > 0 else float("inf")
-        speedups[name] = speedup
+    for name, start, run, reference, b in cases:
+        tree = start(cg)
+        secs, _ = _time(run, tree)
+        identical = None
+        if cg.n <= DICT_CHECK_CAP:
+            identical = reference(graph, b).parent == tree.parent_map()
         rows.append(
             {
                 "solver": name,
                 "budget": b,
-                "incremental_seconds": new_s,
-                "rescan_seconds": old_s,
-                "speedup": speedup,
+                "incremental_seconds": secs,
                 "plans_identical": identical,
-                "storage": tree_new.total_storage,
-                "retrieval": tree_new.total_retrieval,
+                "storage": tree.total_storage,
+                "retrieval": tree.total_retrieval,
             }
         )
-        status = "OK" if identical else "PLAN MISMATCH"
-        print(
-            f"  solve   {name:<8} incr={new_s:8.2f}s rescan={old_s:8.2f}s "
-            f"speedup={speedup:6.1f}x [{status}]",
-            flush=True,
-        )
-    return rows, speedups
+        status = {True: "OK", False: "PLAN MISMATCH", None: "unchecked"}[identical]
+        print(f"  solve   {name:<8} {secs:8.2f}s [{status}]", flush=True)
+    return rows
 
 
-def sweep_panel(cg, start_edges) -> dict:
+def sweep_panel(cg) -> dict:
     """Budget-grid LMG sweep through trajectory replay."""
-    base = ArrayPlanTree(cg, start_edges).total_storage
+    base = _min_storage_array_tree(cg).total_storage
     budgets = [base * f for f in (1.05, 1.2, 1.4, 1.7, 2.0, 2.5, 3.0, 4.0)]
-    secs, entries = _time(
-        sweep_greedy_msr, cg, "lmg", budgets, start_edges=start_edges
-    )
+    secs, entries = _time(sweep_greedy_msr, cg, "lmg", budgets)
     print(f"  sweep   lmg x{len(budgets)} budgets in {secs:8.2f}s", flush=True)
     return {
         "solver": "lmg",
@@ -211,7 +180,7 @@ def sweep_panel(cg, start_edges) -> dict:
 
 
 def capability_panel(cg) -> dict:
-    """Capped BMR run for tiers too large for the rescan baseline."""
+    """Capped BMR run for tiers too large for the Edmonds start."""
     tree = _materialized_array_tree(cg)
     retrieval_budget = float(cg.edge_retrieval.max()) * 2.0
     rounds = min(CAPABILITY_ROUNDS, _bmr_default_rounds(cg))
@@ -265,8 +234,8 @@ def bench_tier(nodes: int) -> dict:
         "edges": cg.num_edges,
         "index_dtype": str(np.dtype(cg.index_dtype)),
     }
-    if nodes <= COMPARE_CAP:
-        ed_s, start_edges = _time(min_storage_parent_edges, cg)
+    if nodes <= SOLVE_CAP:
+        ed_s, _ = _time(min_storage_parent_edges, cg)
         tier["edmonds_seconds"] = ed_s
         tier["edmonds_rounds"] = edmonds_rounds(cg)
         print(
@@ -274,8 +243,8 @@ def bench_tier(nodes: int) -> dict:
             f"({tier['edmonds_rounds']} rounds)",
             flush=True,
         )
-        tier["solve"], tier["speedups"] = solve_panel(cg, start_edges)
-        tier["sweep"] = sweep_panel(cg, start_edges)
+        tier["solve"] = solve_panel(g, cg)
+        tier["sweep"] = sweep_panel(cg)
     else:
         tier["capability"] = capability_panel(cg)
     tier["ingest"] = ingest_panel(g, INGEST_APPENDS)
@@ -307,30 +276,25 @@ def main(argv: list[str] | None = None) -> int:
 
     tiers = [bench_tier(n) for n in sizes]
 
-    # gate metrics come from the largest tier that ran the comparison;
-    # tracked *_speedup keys are only emitted for tiers big enough that
-    # the ratios are not sub-second timing noise (smoke runs gate plan
-    # identity only — see docs/benchmarks.md)
-    gated = [t for t in tiers if "speedups" in t]
+    # gate metrics come from the largest tier that ran the solve panel;
+    # the identity flag covers every dict-checked row (null if none ran)
+    solved = [t for t in tiers if "solve" in t]
     payload: dict = {"preset": PRESET, "sizes": list(sizes), "tiers": tiers}
-    if gated:
-        top = max(gated, key=lambda t: t["nodes"])
-        speedups = top["speedups"]
+    if solved:
+        top = max(solved, key=lambda t: t["nodes"])
+        checked = [
+            r["plans_identical"]
+            for t in solved
+            for r in t["solve"]
+            if r["plans_identical"] is not None
+        ]
         payload["gate_nodes"] = top["nodes"]
         payload["edmonds_rounds"] = top["edmonds_rounds"]
-        payload["all_plans_identical"] = all(
-            r["plans_identical"] for t in gated for r in t["solve"]
-        )
-        if top["nodes"] >= TRACKED_SPEEDUP_MIN_NODES:
-            payload["lmg_speedup"] = speedups["lmg"]
-            payload["lmg_all_speedup"] = speedups["lmg-all"]
-            payload["bmr_lmg_speedup"] = speedups["bmr-lmg"]
-            payload["min_speedup"] = min(speedups.values())
-            payload["xl_gate_5x"] = payload["min_speedup"] >= 5.0
+        payload["all_plans_identical"] = all(checked) if checked else None
     Path(out).write_text(json.dumps(payload, indent=1))
     print(f"wrote {out}")
-    if gated and not payload["all_plans_identical"]:
-        print("FAIL: incremental/rescan plan mismatch", file=sys.stderr)
+    if payload.get("all_plans_identical") is False:
+        print("FAIL: incremental/dict plan mismatch", file=sys.stderr)
         return 1
     return 0
 

@@ -23,7 +23,8 @@ schema:
 
 A tracked metric that is missing (or ``null``) in the candidate is a
 *structural* failure — the bench stopped reporting something the gate
-watches — and is reported distinctly from a regression.
+watches — and is reported distinctly from a regression.  So is a
+``NaN`` or ``-inf`` candidate ratio (``+inf`` is a legal improvement).
 
 Exit codes (pinned by ``tests/test_bench_check.py`` and relied on by
 CI):
@@ -31,13 +32,14 @@ CI):
 * ``0`` — all tracked metrics within margin (improvements included);
 * ``1`` — at least one regression;
 * ``2`` — bad input: unreadable/illegal JSON, no baseline for a
-  candidate, or a tracked metric missing from the candidate.
+  candidate, a non-finite baseline ratio, or a tracked metric missing
+  from the candidate.
 
 The default margin is **0.5** (speedups only): a tracked speedup may lose up to half
 its baseline value before the gate trips.  That is deliberately loose —
 shared CI runners routinely halve a ratio through noisy neighbors — so
-the gate catches order-of-magnitude collapses ("the incremental kernel
-silently fell back to rescan") rather than jitter.  See
+the gate catches order-of-magnitude collapses ("the sweep silently
+re-solved every budget") rather than jitter.  See
 ``docs/benchmarks.md`` for the workflow.
 """
 
@@ -45,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -86,6 +89,8 @@ def tracked_metrics(baseline: dict) -> dict[str, object]:
     out: dict[str, object] = {}
     for key, value in baseline.items():
         if _is_speedup_key(key) and isinstance(value, (int, float)):
+            if not math.isfinite(value):
+                raise ValueError(f"baseline {key} is {value}: ratios must be finite")
             out[key] = float(value)
         elif key.endswith("_rounds") and _is_count(value):
             out[key] = value
@@ -130,6 +135,9 @@ def compare_payloads(
             diffs.append(MetricDiff(key, base, cand, "missing"))
             continue
         cand = float(cand)
+        if math.isnan(cand) or cand == -math.inf:
+            diffs.append(MetricDiff(key, base, cand, "missing"))
+            continue
         floor = base * (1.0 - margin)
         if cand < floor:
             status = "regression"
@@ -185,9 +193,9 @@ def check_pair(
     try:
         baseline = _load(baseline_path)
         candidate = _load(candidate_path)
+        diffs = compare_payloads(baseline, candidate, margin=margin)
     except (OSError, ValueError) as err:
         return 2, f"error: {err}"
-    diffs = compare_payloads(baseline, candidate, margin=margin)
     report = format_report(candidate_path.name, diffs, margin=margin)
     statuses = {d.status for d in diffs}
     if "missing" in statuses:

@@ -41,8 +41,9 @@ Notes
   below the minimum storage configuration, or a negative BMR retrieval
   budget), whether the solver signals that by returning ``None`` or by
   raising ``ValueError``.  Exit code 2 is reserved for usage errors,
-  including structural :class:`~repro.core.graph.GraphError` problems
-  with the input graph (reported as ``error:`` on stderr).
+  including a NaN budget on any command and structural
+  :class:`~repro.core.graph.GraphError` problems with the input graph
+  (reported as ``error:`` on stderr).
 * ``solve --backend`` picks the greedy implementation: ``array`` (the
   default — the flat-array kernels from :mod:`repro.fastgraph`) or
   ``dict`` (the reference implementation).  Both produce identical
@@ -54,6 +55,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -62,6 +64,22 @@ from .core.problemspec import SPECS
 from .core.problems import evaluate_plan
 
 __all__ = ["main"]
+
+
+def _budget(text: str) -> float:
+    """argparse ``type=`` for budgets: any float but NaN (``inf`` is unbounded)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if math.isnan(value):
+        raise argparse.ArgumentTypeError(f"invalid budget {text!r}: not a number")
+    return value
+
+
+def _budget_list(text: str) -> list[float]:
+    """argparse ``type=`` for a comma-separated budget grid."""
+    return [_budget(b) for b in text.split(",")]
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
@@ -184,12 +202,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         s.strip() for s in (args.solvers or default_solvers).split(",") if s.strip()
     ]
     try:
-        if args.budgets:
-            budgets = [float(b) for b in args.budgets.split(",")]
-        else:
-            budgets = budget_grid(
-                graph, spec.name, points=args.points, span=args.span
-            )
+        budgets = args.budgets or budget_grid(
+            graph, spec.name, points=args.points, span=args.span
+        )
     except ValueError as err:
         print(f"error: bad budget grid: {err}", file=sys.stderr)
         return 2
@@ -708,7 +723,7 @@ def main(argv: list[str] | None = None) -> int:
     p_solve = sub.add_parser("solve", help="optimize a version graph JSON file")
     p_solve.add_argument("problem", choices=sorted(SPECS))
     p_solve.add_argument("graph", help="path to VersionGraph JSON")
-    p_solve.add_argument("--budget", type=float, required=True)
+    p_solve.add_argument("--budget", type=_budget, required=True)
     p_solve.add_argument(
         "--solver",
         default="lmg-all",
@@ -754,6 +769,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_sweep.add_argument(
         "--budgets",
+        type=_budget_list,
         default=None,
         help="comma-separated explicit budget grid (default: auto grid)",
     )
@@ -810,13 +826,13 @@ def main(argv: list[str] | None = None) -> int:
     )
     p_ing.add_argument(
         "--budget",
-        type=float,
+        type=_budget,
         default=None,
         help="fixed budget (total storage for msr, max retrieval for bmr)",
     )
     p_ing.add_argument(
         "--budget-factor",
-        type=float,
+        type=_budget,
         default=None,
         help="dynamic budget = factor x the problem's online lower bound "
         "(min-storage bound for msr, retrieval-scale bound for bmr; "
@@ -930,10 +946,10 @@ def main(argv: list[str] | None = None) -> int:
     ps_mat.add_argument(
         "--solver", default=None, help="solver name (default: the spec's engine solver)"
     )
-    ps_mat.add_argument("--budget", type=float, default=None, help="absolute budget")
+    ps_mat.add_argument("--budget", type=_budget, default=None, help="absolute budget")
     ps_mat.add_argument(
         "--budget-factor",
-        type=float,
+        type=_budget,
         default=None,
         help="budget as a multiple of the spec's lower bound",
     )
@@ -961,10 +977,10 @@ def main(argv: list[str] | None = None) -> int:
     ps_mig.add_argument(
         "--solver", default=None, help="switch solver (default: keep the recorded one)"
     )
-    ps_mig.add_argument("--budget", type=float, default=None, help="absolute budget")
+    ps_mig.add_argument("--budget", type=_budget, default=None, help="absolute budget")
     ps_mig.add_argument(
         "--budget-factor",
-        type=float,
+        type=_budget,
         default=None,
         help="budget as a multiple of the spec's lower bound",
     )

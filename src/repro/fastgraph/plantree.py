@@ -39,7 +39,8 @@ instead of "re-DFS the tree per round".  Child lists are rebuilt lazily
 *order* (a DFS preorder from rebuilt lists is a different but equally
 valid Euler tour, and ``materialized_versions`` callers sort).  Both
 paths apply the identical single IEEE addition per shifted node, so
-plans stay bit-identical whichever path runs.
+plans stay bit-identical whichever path runs.  Tests replay the greedy
+kernels' recorded moves through the python path as their reference.
 """
 
 from __future__ import annotations
@@ -305,19 +306,6 @@ class ArrayPlanTree:
             self._apply_swap_python(eid, u, v)
         else:
             self._apply_swap_fresh(eid, u, v)
-
-    def _apply_swap_rescan(self, eid: int) -> None:
-        """Apply a (pre-validated, non-identity) swap via the walk path.
-
-        Entry point for the :mod:`~repro.fastgraph.rescan` baseline
-        kernels, which preserve the pre-incremental behavior — eager
-        child lists, per-move Python walks, Euler invalidation — as a
-        timing and plan-identity reference.  Skips the identity/cycle
-        guards (the rescan kernels' candidate masks already enforce
-        them, exactly like the historical code path did).
-        """
-        cg = self.cg
-        self._apply_swap_python(eid, int(cg.edge_src[eid]), int(cg.edge_dst[eid]))
 
     def _apply_swap_python(self, eid: int, u: int, v: int) -> None:
         """Original swap path: child surgery + O(depth) walks.

@@ -31,22 +31,22 @@ live greedy from a cloned tree on the rare divergence.
 Incremental scoring
 -------------------
 The round runners are *incremental*: instead of re-deriving every
-candidate's gain and feasibility from the tree each round (preserved as
-the :mod:`~repro.fastgraph.rescan` baselines), they hold the per-move
-quantities that feed the masked argmax — ``ds``/``reduction`` per LMG
-candidate, ``ds``/``dr``/``shift``/cycle/tree-edge masks per edge for
-LMG-All and BMR — in live arrays across rounds, and after each applied
-swap recompute only the entries the move invalidated.  A swap of
+candidate's gain and feasibility from the tree each round, they hold the
+per-move quantities that feed the masked argmax — ``ds``/``reduction``
+per LMG candidate, ``ds``/``dr``/``shift``/cycle/tree-edge masks per
+edge for LMG-All and BMR — in live arrays across rounds, and after each
+applied swap recompute only the entries the move invalidated.  A swap of
 ``v``'s subtree from ``p`` to ``u`` perturbs retrieval inside
-``subtree(v)`` (one Euler-interval preorder slice), subtree sizes on
-the ancestors of ``p`` and ``u`` (two interval-containment masks), and
-``v``'s own parent edge; the affected *edges* are gathered from the
-CSR adjacency of exactly those nodes.  The recomputed entries use the
-same IEEE expressions on the same cached quantities, so the state
-arrays stay bit-equal to a full rescan and the argmax picks the
-identical move.  :class:`ArrayPlanTree` keeps its Euler intervals
+``subtree(v)`` (one Euler-interval preorder slice), subtree sizes on the
+ancestors of ``p`` and ``u`` (two interval-containment masks), and
+``v``'s own parent edge; the affected *edges* are gathered from the CSR
+adjacency of exactly those nodes.  The recomputed entries use the same
+IEEE expressions on the same cached quantities, so the state arrays stay
+bit-equal to a from-scratch rescore and the argmax picks the identical
+move (checked against the dict reference and a python-walk replay of
+the recorded moves).  :class:`ArrayPlanTree` keeps its Euler intervals
 current across swaps (see the plantree module docstring), so no
-per-round Python DFS remains anywhere in the round loop.
+per-round Python DFS remains in the round loop.
 """
 
 from __future__ import annotations
@@ -163,14 +163,13 @@ def _lmg_run(
     chain — so a max-heap keyed ``(-score, position)`` whose stale tops
     are re-keyed on pop always surfaces the true maximum, and the
     position tie-break reproduces ``np.argmax``'s first-maximum rule
-    over the rescan baseline's compacted ``live`` array (compaction
-    preserves order).  The two score tiers stay exact: the inf tier
-    (``ds <= 0``, always within budget while the loop runs) can only
-    lose members, so every inf-tier round precedes every ratio-tier
-    round; once the ratio tier is in charge ``total_storage`` is
-    strictly increasing, so a ratio candidate that exceeds the budget
-    cap never becomes feasible again and may be dropped from the heap
-    (it stays in the returned candidate pool).
+    over the surviving candidates in scan order.  The two score tiers
+    stay exact: the inf tier (``ds <= 0``, always within budget while
+    the loop runs) can only lose members, so every inf-tier round
+    precedes every ratio-tier round; once the ratio tier is in charge
+    ``total_storage`` is strictly increasing, so a ratio candidate that
+    exceeds the budget cap never becomes feasible again and may be
+    dropped from the heap (it stays in the returned candidate pool).
     """
     aux = cg.aux
     es = cg.edge_storage
@@ -358,7 +357,7 @@ def _lmg_all_run(
     (retrieval shifted) or entering an old/new ancestor (size changed),
     and the cycle mask for edges *leaving* ``subtree(v)`` (the only
     sources whose ancestor chain changed).  All recomputed with the
-    rescan expressions — state stays bit-equal to a full rescan.
+    initial expressions: state stays bit-equal to a from-scratch rescore.
     """
     aux = cg.aux
     src, dst = cg.edge_src, cg.edge_dst
@@ -659,14 +658,6 @@ def _materialized_array_tree(cg: CompiledGraph) -> ArrayPlanTree:
     return ArrayPlanTree(cg, [(v, int(cg.aux_edge[v])) for v in range(cg.n)])
 
 
-def _check_bmr_feasible(retrieval_budget: float) -> None:
-    if not within_budget(0.0, retrieval_budget):
-        raise ValueError(
-            f"retrieval budget {retrieval_budget} infeasible: even "
-            f"materializing every version has max retrieval 0"
-        )
-
-
 def bmr_lmg_array(
     graph: VersionGraph | CompiledGraph,
     retrieval_budget: float,
@@ -682,7 +673,11 @@ def bmr_lmg_array(
     ``ValueError`` on negative (infeasible) retrieval budgets.
     """
     cg = _compiled(graph)
-    _check_bmr_feasible(retrieval_budget)
+    if not within_budget(0.0, retrieval_budget):
+        raise ValueError(
+            f"retrieval budget {retrieval_budget} infeasible: even "
+            f"materializing every version has max retrieval 0"
+        )
     tree = _materialized_array_tree(cg)
     rounds = max_iterations if max_iterations is not None else _bmr_default_rounds(cg)
     _bmr_run(cg, tree, retrieval_budget, rounds)

@@ -94,6 +94,22 @@ class TestTracking:
         diffs = {d.key: d.status for d in compare_payloads(BASE, cand)}
         assert diffs["min_speedup"] == "missing"
 
+    @pytest.mark.parametrize(
+        "value,status",
+        [(float("nan"), "missing"), (-float("inf"), "missing"),
+         (float("inf"), "improved")],
+    )
+    def test_non_finite_candidate_ratio(self, value, status):
+        # NaN compares false against both floor and baseline: without
+        # the guard it would pass as "ok"
+        diffs = compare_payloads({"a_speedup": 2.0}, {"a_speedup": value})
+        assert [d.status for d in diffs] == [status]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_baseline_ratio_is_rejected(self, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            tracked_metrics({"a_speedup": value})
+
 
 class TestWorkCounters:
     """Integer ``*_rounds`` keys are gated exactly: counts do not jitter."""
@@ -190,6 +206,17 @@ class TestMainExitCodes:
         candp.write_text("[1, 2]")  # legal JSON, wrong shape
         assert main([str(candp), "--baseline", str(base)]) == 2
         assert "must be a JSON object" in capsys.readouterr().out
+
+    def test_non_finite_ratios_exit_two(self, tmp_path, capsys):
+        # json.dumps writes NaN / Infinity literals; json.loads reads them
+        base = write(tmp_path, "BENCH_a.json", {"a_speedup": 2.0})
+        nan = write(tmp_path, "nan.json", {"a_speedup": float("nan")})
+        assert main([str(nan), "--baseline", str(base)]) == 2
+        assert "MISSING" in capsys.readouterr().out
+        inf = write(tmp_path, "inf.json", {"a_speedup": float("inf")})
+        assert main([str(inf), "--baseline", str(base)]) == 0
+        assert main([str(base), "--baseline", str(nan)]) == 2
+        assert "must be finite" in capsys.readouterr().out
 
     def test_baseline_dir_matching_by_name(self, tmp_path, capsys):
         bdir = tmp_path / "baselines"

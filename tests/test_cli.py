@@ -404,3 +404,37 @@ class TestStore:
         ])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestBudgetValues:
+    """Every budget flag shares one parser: NaN is a usage error (2)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "bmr", "{g}", "--budget", "nan", "--solver", "mp"],
+            ["solve", "bmr", "{g}", "--budget", "nan", "--solver", "bmr-lmg"],
+            ["solve", "msr", "{g}", "--budget", "NaN", "--solver", "lmg"],
+            ["sweep", "msr", "{g}", "--budgets", "nan,1e12"],
+            ["ingest", "--commits", "10", "--budget", "nan"],
+            ["ingest", "--commits", "10", "--budget-factor", "nan"],
+            ["store", "materialize", "--dir", "{d}", "--budget-factor", "nan"],
+            ["store", "migrate", "--dir", "{d}", "--budget", "nan"],
+        ],
+    )
+    def test_nan_budget_exits_2(self, argv, graph_file, tmp_path, capsys):
+        argv = [a.format(g=graph_file, d=tmp_path / "s") for a in argv]
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert "invalid budget" in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "s").exists()
+
+    def test_inf_budget_is_an_unbounded_solve(self, graph_file, capsys):
+        rc = main(["solve", "msr", graph_file, "--budget", "inf", "--solver", "lmg"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["budget"] == float("inf")
+        assert payload["stored_deltas"] == []  # unbounded: all materialized

@@ -1,11 +1,13 @@
-"""Three-way plan identity for the incremental greedy kernels.
+"""Three-way identity for the incremental greedy kernels.
 
-The incremental kernels (:mod:`repro.fastgraph.solvers`), the frozen
-rescan baselines (:mod:`repro.fastgraph.rescan`) and the dict reference
-solvers are three independent implementations of the same greedy
-loops.  All must produce *bit-identical* plans to each other,
-across presets, random graphs and budget regimes — this is the
-non-negotiable acceptance bar for the incremental rewrite.
+The incremental kernels (:mod:`repro.fastgraph.solvers`) and the dict
+reference solvers are independent implementations of the same greedy
+loops.  They must produce *identical* plans across presets, random
+graphs and budget regimes.  The third leg replays each kernel's
+recorded moves through :class:`~repro.fastgraph.plantree.ArrayPlanTree`'s
+python-walk swap path: the kernels update the tree arrays with their
+own vectorized code, so the replay must reach *bit-identical* state
+(``parent``, ``par_edge``, ``size``, ``ret`` and both float totals).
 
 Also covered here: the fresh-path (vectorized, Euler-maintaining) swap
 application agreeing with the python-walk path on arbitrary admissible
@@ -20,8 +22,14 @@ import pytest
 from repro.algorithms.bmr_greedy import bmr_lmg
 from repro.algorithms.lmg import lmg
 from repro.algorithms.lmg_all import lmg_all
-from repro.fastgraph import rescan
 from repro.fastgraph.solvers import (
+    _bmr_default_rounds,
+    _bmr_run,
+    _lmg_all_default_rounds,
+    _lmg_all_run,
+    _lmg_candidates,
+    _lmg_default_rounds,
+    _lmg_run,
     _materialized_array_tree,
     _min_storage_array_tree,
     bmr_lmg_array,
@@ -52,17 +60,45 @@ def msr_budgets(graph):
 
 def bmr_budgets(graph):
     cg = graph.compile()
-    tree = _materialized_array_tree(cg)
     # loose cap from the spread of single-edge retrievals
     top = float(cg.edge_retrieval.max()) if cg.num_edges else 1.0
-    del tree
     return [top * 2.0, top * 8.0]
 
 
-def assert_same_tree(a, b):
-    assert a.parent_map() == b.parent_map()
+def assert_bit_identical(a, b):
+    for field in ("parent", "par_edge", "size", "ret"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
     assert a.total_storage == b.total_storage
     assert a.total_retrieval == b.total_retrieval
+
+
+def replay_walk(tree, record):
+    """Re-apply recorded kernel moves through the python-walk swap path."""
+    cg = tree.cg
+    for eid, *_ in record:
+        tree._apply_swap_python(eid, int(cg.edge_src[eid]), int(cg.edge_dst[eid]))
+    return tree
+
+
+def run_lmg(cg, tree, budget, record):
+    cand = _lmg_candidates(cg, tree)
+    _lmg_run(cg, tree, cand, budget, _lmg_default_rounds(cg), record)
+
+
+def run_lmg_all(cg, tree, budget, record):
+    _lmg_all_run(cg, tree, budget, _lmg_all_default_rounds(cg), record)
+
+
+def run_bmr(cg, tree, budget, record):
+    _bmr_run(cg, tree, budget, _bmr_default_rounds(cg), record)
+
+
+#: (start tree, incremental round runner, budget grid) per kernel
+KERNELS = [
+    (_min_storage_array_tree, run_lmg, msr_budgets),
+    (_min_storage_array_tree, run_lmg_all, msr_budgets),
+    (_materialized_array_tree, run_bmr, bmr_budgets),
+]
 
 
 class TestThreeWayIdentity:
@@ -72,8 +108,6 @@ class TestThreeWayIdentity:
             ref = lmg(graph, budget)
             arr = lmg_array(graph, budget)
             assert ref.parent == arr.parent_map(), (name, budget)
-            res = rescan.lmg_array_rescan(graph, budget)
-            assert_same_tree(arr, res)
 
     @pytest.mark.parametrize("name,graph", list(graphs()))
     def test_lmg_all_variants_match_dict(self, name, graph):
@@ -81,8 +115,6 @@ class TestThreeWayIdentity:
             ref = lmg_all(graph, budget)
             arr = lmg_all_array(graph, budget)
             assert ref.parent == arr.parent_map(), (name, budget)
-            res = rescan.lmg_all_array_rescan(graph, budget)
-            assert_same_tree(arr, res)
 
     @pytest.mark.parametrize("name,graph", list(graphs()))
     def test_bmr_lmg_variants_match_dict(self, name, graph):
@@ -90,24 +122,28 @@ class TestThreeWayIdentity:
             ref = bmr_lmg(graph, budget)
             arr = bmr_lmg_array(graph, budget)
             assert ref.parent == arr.parent_map(), (name, budget)
-            res = rescan.bmr_lmg_array_rescan(graph, budget)
-            assert_same_tree(arr, res)
+
+    @pytest.mark.parametrize("name,graph", list(graphs()))
+    def test_recorded_moves_replay_bit_identically(self, name, graph):
+        cg = graph.compile()
+        moves = 0
+        for start, run, budgets in KERNELS:
+            for budget in budgets(graph):
+                tree, record = start(cg), []
+                run(cg, tree, budget, record)
+                assert_bit_identical(tree, replay_walk(start(cg), record))
+                moves += len(record)
+        assert moves > 0  # the replay exercised real moves
 
     def test_infeasible_budgets_raise_everywhere(self):
         graph = random_digraph(30, seed=3)
         cg = graph.compile()
         low = _min_storage_array_tree(cg).total_storage * 0.5
-        for solver in (
-            lmg_array,
-            rescan.lmg_array_rescan,
-            lmg_all_array,
-            rescan.lmg_all_array_rescan,
-        ):
+        for solver in (lmg_array, lmg_all_array):
             with pytest.raises(ValueError, match="MSR infeasible"):
                 solver(graph, low)
-        for solver in (bmr_lmg_array, rescan.bmr_lmg_array_rescan):
-            with pytest.raises(ValueError, match="infeasible"):
-                solver(graph, -1.0)
+        with pytest.raises(ValueError, match="infeasible"):
+            bmr_lmg_array(graph, -1.0)
 
 
 class TestSwapPathEquivalence:
@@ -139,14 +175,11 @@ class TestSwapPathEquivalence:
             if eid is None:
                 break
             fresh.apply_swap_edge(eid)
-            walk._apply_swap_rescan(eid)
+            walk._apply_swap_python(
+                eid, int(cg.edge_src[eid]), int(cg.edge_dst[eid])
+            )
             assert not fresh._order_dirty  # stayed on the fresh path
-        assert np.array_equal(fresh.parent, walk.parent)
-        assert np.array_equal(fresh.par_edge, walk.par_edge)
-        assert np.array_equal(fresh.size, walk.size)
-        assert np.array_equal(fresh.ret, walk.ret)  # bit-identical floats
-        assert fresh.total_storage == walk.total_storage
-        assert fresh.total_retrieval == walk.total_retrieval
+        assert_bit_identical(fresh, walk)
         fresh.check_invariants()
 
     def test_fresh_euler_is_a_valid_preorder(self):
