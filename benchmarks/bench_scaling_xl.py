@@ -15,7 +15,8 @@ root::
   start for BMR).  Edmonds runs once per tier, fresh on the tier's
   compiled graph: its wall time is reported as ``edmonds_seconds``
   (not gated) and its contraction rounds as ``edmonds_rounds``, a work
-  counter gated exactly at the top level.  At tiers up to
+  counter gated exactly at the top level; so is ``bmr_lmg_rounds``, the
+  BMR-LMG moves applied at that tier.  At tiers up to
   ``DICT_CHECK_CAP`` versions every plan is checked against the dict
   reference solver (``plans_identical``); above it the dict solvers
   are priced out and the flag is ``null``.
@@ -141,20 +142,21 @@ def solve_panel(graph, cg) -> list[dict]:
     rows = []
     for name, start, run, reference, b in cases:
         tree = start(cg)
-        secs, _ = _time(run, tree)
+        secs, out = _time(run, tree)
         identical = None
         if cg.n <= DICT_CHECK_CAP:
             identical = reference(graph, b).parent == tree.parent_map()
-        rows.append(
-            {
-                "solver": name,
-                "budget": b,
-                "incremental_seconds": secs,
-                "plans_identical": identical,
-                "storage": tree.total_storage,
-                "retrieval": tree.total_retrieval,
-            }
-        )
+        row = {
+            "solver": name,
+            "budget": b,
+            "incremental_seconds": secs,
+            "plans_identical": identical,
+            "storage": tree.total_storage,
+            "retrieval": tree.total_retrieval,
+        }
+        if name == "bmr-lmg":
+            row["moves_applied"] = int(out)  # _bmr_run returns moves applied
+        rows.append(row)
         status = {True: "OK", False: "PLAN MISMATCH", None: "unchecked"}[identical]
         print(f"  solve   {name:<8} {secs:8.2f}s [{status}]", flush=True)
     return rows
@@ -290,6 +292,9 @@ def main(argv: list[str] | None = None) -> int:
         ]
         payload["gate_nodes"] = top["nodes"]
         payload["edmonds_rounds"] = top["edmonds_rounds"]
+        payload["bmr_lmg_rounds"] = next(
+            r["moves_applied"] for r in top["solve"] if r["solver"] == "bmr-lmg"
+        )
         payload["all_plans_identical"] = all(checked) if checked else None
     Path(out).write_text(json.dumps(payload, indent=1))
     print(f"wrote {out}")

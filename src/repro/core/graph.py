@@ -78,6 +78,11 @@ AUX = AuxRoot()
 Node = Hashable
 
 
+def _finite_cost(x: float) -> bool:
+    """True for a finite, non-negative cost (False for NaN and +-inf)."""
+    return math.isfinite(x) and x >= 0
+
+
 @dataclass(frozen=True)
 class Delta:
     """An edge payload: the pair of storage and retrieval costs.
@@ -94,10 +99,11 @@ class Delta:
     retrieval: float
 
     def __post_init__(self) -> None:
-        if self.storage < 0 or self.retrieval < 0:
+        # ``nan < 0`` is False, so finiteness is checked explicitly
+        if not (_finite_cost(self.storage) and _finite_cost(self.retrieval)):
             raise GraphError(
-                f"delta costs must be non-negative, got {self.storage!r}/"
-                f"{self.retrieval!r}"
+                f"delta costs must be finite and non-negative, got "
+                f"{self.storage!r}/{self.retrieval!r}"
             )
 
     def scaled(self, storage_factor: float = 1.0, retrieval_factor: float = 1.0) -> "Delta":
@@ -233,8 +239,10 @@ class VersionGraph:
         """
         if v is AUX:
             raise GraphError("AUX is reserved for the extended graph root")
-        if storage < 0:
-            raise GraphError(f"storage cost must be non-negative, got {storage!r}")
+        if not _finite_cost(storage):
+            raise GraphError(
+                f"storage cost must be finite and non-negative, got {storage!r}"
+            )
         new = v not in self._storage
         if new:
             self._succ[v] = {}

@@ -25,22 +25,27 @@ operations in the same order as ``PlanTree``:
 Incremental Euler maintenance
 -----------------------------
 :meth:`apply_swap_edge` has two implementations.  The *python* path is
-the original one: eager child-list surgery, O(depth) size walks, and it
-invalidates the Euler intervals (``_order_dirty``).  The *fresh* path
-runs when the intervals are current and keeps them current: moving
+the original one: eager child-list surgery, O(depth) size walks, an
+O(subtree) retrieval walk, and it invalidates the Euler intervals
+(``_order_dirty``).  The BMR-LMG runner applies every move through it,
+since its own bookkeeping is O(subtree + depth) walks too.  The *fresh*
+path runs when the intervals are current and keeps them current: moving
 ``v``'s subtree is a contiguous block move inside the preorder (shift
 the nodes between the block and its destination by ``±size(v)``, slide
 the block, rederive ``tout = tin + size - 1``), ancestor size updates
 are two interval-containment masks, and the subtree retrieval shift is
 the existing one-masked-add.  All O(V) vectorized, zero Python walks —
-this is what makes the incremental greedy kernels O(V) per round
-instead of "re-DFS the tree per round".  Child lists are rebuilt lazily
-(``_children_dirty``) in index order; no consumer depends on child
-*order* (a DFS preorder from rebuilt lists is a different but equally
-valid Euler tour, and ``materialized_versions`` callers sort).  Both
-paths apply the identical single IEEE addition per shifted node, so
-plans stay bit-identical whichever path runs.  Tests replay the greedy
-kernels' recorded moves through the python path as their reference.
+this is what makes the LMG-All kernel O(V) per round instead of
+"re-DFS the tree per round".  Child lists are rebuilt lazily
+(``_children_dirty``) in index order.  Swaps and Euler tours do not
+depend on child *order* (a DFS preorder from rebuilt lists is a
+different but equally valid Euler tour, and ``materialized_versions``
+callers sort); retirement repair does, since it re-homes a version's
+children in list order, so the greedy kernels hand their trees on with
+index-ordered child lists.  Both paths apply the identical single IEEE
+addition per shifted node, so plans stay bit-identical whichever path
+runs.  Tests replay the greedy kernels' recorded moves through the
+python path as their reference.
 """
 
 from __future__ import annotations
@@ -89,9 +94,6 @@ class ArrayPlanTree:
         "_order_dirty",
         "_children_dirty",
         "_iota",
-        "_rmq_table",
-        "_rmq_lo",
-        "_rmq_hi",
         "_cap",
         "_parent_buf",
         "_par_edge_buf",
@@ -124,15 +126,6 @@ class ArrayPlanTree:
         self._order_dirty = True
         self._children_dirty = False
         self._iota: np.ndarray | None = None
-        # guarded-by: tree-owner (scratch reused across calls; trees are
-        # single-owner objects — clones never share it)
-        self._rmq_table: np.ndarray | None = None
-        # guarded-by: tree-owner — dirty Euler-position window of the
-        # cached sparse table ([lo, hi], lo > hi means clean); fresh-path
-        # swaps only touch a contiguous preorder range, so the table
-        # refresh can be partial
-        self._rmq_lo = 1 << 62
-        self._rmq_hi = -1
         # guarded-by: tree-owner — amortized-growth backing buffers for
         # the six per-node arrays (see append_version); 0 = not buffered
         self._cap = 0
@@ -226,8 +219,8 @@ class ArrayPlanTree:
         kernels' cycle masks, :meth:`apply_swap_edge`'s batch shift
         mask) answers identically to the classic entry/exit-timer
         Euler tour while paying one Python walk instead of two.  The
-        preorder itself is kept on :attr:`_preorder` for the
-        range-max queries of :meth:`subtree_max_retrieval`.
+        preorder itself is kept on :attr:`_preorder`: the fresh swap
+        path slides blocks of it, and LMG snapshots it.
         """
         self._ensure_children()
         order_list: list[int] = []
@@ -252,9 +245,6 @@ class ArrayPlanTree:
         self._tin = pos
         self._tout = pos + self.size - 1
         self._order_dirty = False
-        # a full reorder invalidates the whole cached range-max table
-        self._rmq_lo = 0
-        self._rmq_hi = len(order) - 1
 
     def is_ancestor(self, a: int, b: int) -> bool:
         """True when node index ``a`` is an ancestor of ``b`` (or equal)."""
@@ -405,14 +395,10 @@ class ArrayPlanTree:
             between = (tin > pu) & (tin < a)
             tin[between] += sz
             tin[block] += (pu + 1) - a
-            self._rmq_lo = min(self._rmq_lo, pu + 1)
-            self._rmq_hi = max(self._rmq_hi, b)
         else:  # pu > b: u cannot be inside the block (cycle guard)
             between = (tin > b) & (tin <= pu)
             tin[between] -= sz
             tin[block] += (pu - sz + 1) - a
-            self._rmq_lo = min(self._rmq_lo, a)
-            self._rmq_hi = max(self._rmq_hi, pu)
         np.add(tin, size, out=tout)
         tout -= 1
         iota = self._iota
@@ -448,9 +434,8 @@ class ArrayPlanTree:
         Dead rows are skipped by the exporters (:meth:`to_plan`,
         :meth:`parent_map`, :meth:`retrieval_summary`) and excluded
         from the Euler order; trees carrying dead rows support appends,
-        detaches, re-homes and exports, but not the fresh swap path or
-        :meth:`subtree_max_retrieval` (re-solves rebuild the tree on a
-        compacted graph first).
+        detaches, re-homes and exports, but not the fresh swap path
+        (re-solves rebuild the tree on a compacted graph first).
         """
         aux = len(self.parent) - 1
         p = int(self.parent[v])
@@ -546,65 +531,6 @@ class ArrayPlanTree:
         self.total_retrieval += shift * sz
         self._order_dirty = True
         return sub_max
-
-    def subtree_max_retrieval(self) -> np.ndarray:
-        """Per-node max retrieval cost over each node's subtree.
-
-        ``float64[n + 1]`` indexed like :attr:`ret` (the AUX entry is
-        the tree-wide maximum).  A node's subtree is a contiguous block
-        of the preorder (see :meth:`refresh_euler`), so the answer for
-        *all* nodes is a batch of range-max queries over the preorder
-        depth-cost sequence, served by a sparse table built with
-        O(log V) vectorized ``np.maximum`` passes.  Since ``max`` only
-        *selects* among the cached floats (no arithmetic), the result
-        is bit-identical to the dict reference's reverse-topological
-        recomputation.  The BMR greedy kernels read this once per round
-        to admit only swaps that keep every version of the moved
-        subtree within the retrieval budget.
-        """
-        if self._order_dirty:
-            self.refresh_euler()
-        n1 = len(self.parent)
-        levels = max(1, int(n1).bit_length())  # floor(log2(n1)) + 1 levels
-        # sparse table over the preorder sequence, -inf padded so every
-        # level-k lookup at i + 2^(k-1) stays in bounds and inert.  The
-        # buffer is cached across calls (the BMR kernel queries once per
-        # round) and refreshed *incrementally*: a fresh-path swap only
-        # perturbs the preorder inside one contiguous position window
-        # [_rmq_lo, _rmq_hi], and a row-k entry at position i covers row-0
-        # positions [i, i + 2^k - 1], so exactly the entries with
-        # i in [lo - 2^k + 1, hi] can change — every untouched entry's
-        # window is disjoint from the dirty range and keeps its value.
-        # Since max only *selects*, the partially refreshed table is
-        # bit-identical to a full rebuild.  Row 0's -inf tail is written
-        # once at allocation and never read as stale.
-        width = n1 + (1 << levels)
-        table = self._rmq_table
-        if table is None or table.shape != (levels, width):
-            table = np.full((levels, width), -np.inf)
-            self._rmq_table = table
-            self._rmq_lo, self._rmq_hi = 0, n1 - 1
-        lo, hi = self._rmq_lo, self._rmq_hi
-        if lo <= hi:
-            table[0, lo : hi + 1] = self.ret[self._preorder[lo : hi + 1]]
-            for k in range(1, levels):
-                half = 1 << (k - 1)
-                x0 = max(0, lo - (1 << k) + 1)
-                x1 = min(width - half, hi + 1)
-                np.maximum(
-                    table[k - 1, x0:x1],
-                    table[k - 1, x0 + half : x1 + half],
-                    out=table[k, x0:x1],
-                )
-            self._rmq_lo, self._rmq_hi = 1 << 62, -1
-        # per-node query: range [tin, tin + size) as two overlapping
-        # power-of-two windows (exact for max)
-        k = np.frexp(self.size.astype(np.float64))[1] - 1
-        lo = self._tin
-        hi = lo + self.size - (1 << k).astype(lo.dtype)
-        flat_lo = k.astype(np.int64) * width + lo
-        flat_hi = k.astype(np.int64) * width + hi
-        return np.maximum(table.ravel()[flat_lo], table.ravel()[flat_hi])
 
     # ------------------------------------------------------------------
     # incremental growth (online ingest)
@@ -753,9 +679,6 @@ class ArrayPlanTree:
         new._order_dirty = self._order_dirty
         new._children_dirty = self._children_dirty
         new._iota = self._iota  # read-only scatter index, safe to share
-        new._rmq_table = None  # scratch is per-owner (guarded-by above)
-        new._rmq_lo = 1 << 62
-        new._rmq_hi = -1
         new._cap = 0  # clones re-buffer lazily on their first append
         new._parent_buf = None
         new._par_edge_buf = None

@@ -1,41 +1,44 @@
-"""Vectorized greedy kernels: LMG, LMG-All, MP on compiled graphs.
+"""Greedy kernels on compiled graphs: LMG, LMG-All, MP and BMR-LMG.
 
 Each kernel is a drop-in replacement for its dict reference
 (:func:`repro.algorithms.lmg.lmg`, :func:`repro.algorithms.lmg_all.
-lmg_all`, :func:`repro.algorithms.mp.mp`) with the per-round candidate
-scan turned into NumPy array arithmetic.  The *choices* are identical by
-construction:
+lmg_all`, :func:`repro.algorithms.mp.mp`, :func:`repro.algorithms.
+bmr_greedy.bmr_lmg` / ``mp_local``) with the per-round candidate scan
+turned into NumPy array arithmetic or a lazy heap.  The *choices* are
+identical by construction:
 
 * candidates are laid out in the reference scan order (string-sorted
-  versions for LMG, edge insertion order for LMG-All, heap order for
-  MP), so ``np.argmax``'s first-maximum rule reproduces the reference
-  "strictly better" tie-breaking;
+  versions for LMG, edge insertion order for LMG-All and BMR, heap
+  order for MP), so ``np.argmax``'s first-maximum rule, or a heap
+  keyed ``(-score, position)``, reproduces the reference "strictly
+  better" tie-breaking;
 * move deltas are computed with the same IEEE float operations on the
   same cached quantities, so equal-ratio ties resolve the same way;
 * infeasibility is signalled identically (``ValueError`` when the MSR
   storage budget is below the minimum storage configuration).
 
-All three accept either a :class:`~repro.core.graph.VersionGraph`
+All of them accept either a :class:`~repro.core.graph.VersionGraph`
 (compiled on the fly through the cached ``.compile()`` hook) or a
 pre-built :class:`CompiledGraph`, which is how budget sweeps amortize
 compilation across probes.
 
-The LMG / LMG-All greedy loops are factored into *resumable* round
-runners (:func:`_lmg_run`, :func:`_lmg_all_run`) that start from any
-existing :class:`ArrayPlanTree` state and optionally record the applied
-move sequence.  :mod:`repro.fastgraph.trajectory` builds the single-pass
-budget-grid sweep on top of them: record the trajectory once at the
-loosest budget, replay prefixes for every tighter budget, and resume the
-live greedy from a cloned tree on the rare divergence.
+The LMG / LMG-All / BMR greedy loops are factored into *resumable*
+round runners (:func:`_lmg_run`, :func:`_lmg_all_run`,
+:func:`_bmr_run`) that start from any existing :class:`ArrayPlanTree`
+state and optionally record the applied move sequence.
+:mod:`repro.fastgraph.trajectory` builds the single-pass budget-grid
+sweep on top of them: record the trajectory once at the loosest budget,
+replay prefixes for every tighter budget, and resume the live greedy
+from a cloned tree on the rare divergence.
 
 Incremental scoring
 -------------------
 The round runners are *incremental*: instead of re-deriving every
 candidate's gain and feasibility from the tree each round, they hold the
-per-move quantities that feed the masked argmax — ``ds``/``reduction``
-per LMG candidate, ``ds``/``dr``/``shift``/cycle/tree-edge masks per
-edge for LMG-All and BMR — in live arrays across rounds, and after each
-applied swap recompute only the entries the move invalidated.  A swap of
+per-move quantities that feed the selection — ``ds``/``reduction`` per
+LMG candidate, ``ds``/``dr``/cycle/tree-edge masks per edge for
+LMG-All — across rounds, and after each applied swap recompute only the
+entries the move invalidated.  A swap of
 ``v``'s subtree from ``p`` to ``u`` perturbs retrieval inside
 ``subtree(v)`` (one Euler-interval preorder slice), subtree sizes on the
 ancestors of ``p`` and ``u`` (two interval-containment masks), and
@@ -47,6 +50,14 @@ move (checked against the dict reference and a python-walk replay of
 the recorded moves).  :class:`ArrayPlanTree` keeps its Euler intervals
 current across swaps (see the plantree module docstring), so no
 per-round Python DFS remains in the round loop.
+
+BMR-LMG drops the per-round O(V + E) pass altogether.  Its budget is
+fixed for the whole run, so an edge's admissibility changes only where a
+move changed its inputs, and a move touches tens of nodes, not V:
+:func:`_bmr_run` keeps the admissible edges in two lazy heaps, one per
+score tier, and per-node subtree maxima and cycle tests as O(depth)
+walks.  LMG-All keeps its vectorized pass: its budget test reads the
+global storage slack, which every move shifts for every edge.
 """
 
 from __future__ import annotations
@@ -572,84 +583,145 @@ def _bmr_run(
     check value, which the trajectory sweep replays against tighter
     budgets.
 
-    Incremental like :func:`_lmg_all_run`: per-edge ``ds``, ``shift``
-    and the masks persist across rounds, with ``shift`` touched only by
-    retrieval changes (edges incident to the moved subtree — subtree
-    sizes don't enter it).  The admissibility bound
-    ``submax[dst] + shift`` still needs each round's subtree maxima,
-    served by the plan tree's cached sparse table over the live Euler
-    preorder — no per-round DFS.
+    Selection is two lazy heaps, one per score tier, keyed ``(-reduction,
+    edge id)`` for ``shift <= 0`` and ``(-(reduction / shift), edge
+    id)`` otherwise: the edge-id tie-break is the reference's
+    first-maximum rule.  The budget never moves, so admissibility
+    (non-tree edge, no cycle, ``ds < 0``, ``submax[dst] + shift`` within
+    budget) changes only where a move changed its inputs.  An edge is
+    pushed only while admissible, under a per-edge stamp; moving ``v``
+    from ``p`` to ``u`` re-stamps and re-pushes the in- and out-edges of
+    ``subtree(v)`` and the in-edges of every ancestor of ``p`` or ``u``
+    whose subtree maximum changed.  Stale pops are skipped.
+
+    Moves go through the tree's walk path
+    (:meth:`ArrayPlanTree._apply_swap_python`); list mirrors of
+    ``parent``/``par_edge``/``ret`` serve scalar reads.  ``submax``
+    stays bit-equal to a from-scratch pass because it only selects or
+    adds the move's one shift: ``+= shift`` inside ``subtree(v)``
+    (rounding is monotone), recomputed from the children up the old
+    chain and max-merged up the new one, each until a value stands.
+    Cycle tests walk parents.  Resumes from any tree state.
     """
-    aux = cg.aux
-    src, dst = cg.edge_src, cg.edge_dst
-    es, er = cg.edge_storage, cg.edge_retrieval
-    out_indptr, out_edges = cg.out_indptr, cg.out_edges
-    in_indptr, in_edges = cg.in_indptr, cg.in_edges
-    applied = 0
     if rounds <= 0:
-        return applied
-    tree.ensure_euler()
-    tin, tout, preorder = tree._tin, tree._tout, tree._preorder
-    ret = tree.ret
+        return 0
+    aux = cg.aux
+    src, dst = cg.edge_src.tolist(), cg.edge_dst.tolist()
+    es, er = cg.edge_storage.tolist(), cg.edge_retrieval.tolist()
+    in_ptr, in_edges = cg.in_indptr.tolist(), cg.in_edges.tolist()
+    out_ptr, out_edges = cg.out_indptr.tolist(), cg.out_edges.tolist()
+    tree._ensure_children()
+    children = tree.children
+    parent = tree.parent.tolist()
+    par_edge = tree.par_edge.tolist()
+    ret = tree.ret.tolist()
+    # subtree maxima: one reverse pass over a BFS order (the list grows
+    # while it is walked); max only selects, so each is an exact ret
+    order = [aux]
+    for x in order:
+        order.extend(children[x])
+    submax = ret[:]
+    for x in reversed(order[1:]):
+        p = parent[x]
+        if submax[x] > submax[p]:
+            submax[p] = submax[x]
+    # within_budget(x, b) is exactly x <= budget_cap(b)
+    cap = budget_cap(retrieval_budget)
+    stamp = [0] * len(src)
+    heap_le0: list[tuple[float, int, int]] = []  # shift <= 0 tier
+    heap_pos: list[tuple[float, int, int]] = []  # ratio tier
 
-    # skip current tree edges and moves that would create a cycle
-    nontree = tree.parent[dst] != src
-    cyc = (src != aux) & (tin[dst] <= tin[src]) & (tout[src] <= tout[dst])
-    ds = es - es[tree.par_edge[dst]]
-    shift = ret[src] + er - ret[dst]
-    # budget-independent parts of the per-round masks, maintained at the
-    # same invalidation sites as their inputs (pure recombinations of
-    # already-exact state — no new float ops, so no identity risk)
-    static_ok = nontree & ~cyc & (ds < 0.0)
-    shift_le0 = shift <= 0.0
-    reduction = -ds
-
-    for _ in range(rounds):
-        submax = tree.subtree_max_retrieval()
-        # storage must strictly improve (static_ok) and every version in
-        # subtree(dst) shifts by the same amount: the move is admissible
-        # iff the subtree maximum stays within budget
-        valid = static_ok & within_budget(submax[dst] + shift, retrieval_budget)
-        if not valid.any():
-            break
-        inf_tier = valid & shift_le0
-        if inf_tier.any():
-            # retrieval-non-increasing tier: larger reduction wins,
-            # first in edge order on ties
-            pick = int(np.argmax(np.where(inf_tier, reduction, _NEG_INF)))
+    def admit(e: int) -> None:
+        """Push edge ``e`` under a fresh stamp if it is admissible."""
+        v = dst[e]
+        u = src[e]
+        if parent[v] == u:
+            return  # current tree edge
+        ds = es[e] - es[par_edge[v]]
+        if not ds < 0.0:
+            return  # storage must strictly improve
+        shift = ret[u] + er[e] - ret[v]
+        if not submax[v] + shift <= cap:
+            return  # some version in subtree(v) would bust the budget
+        x = u
+        while x != aux:
+            if x == v:
+                return  # u descends from v: the move would close a cycle
+            x = parent[x]
+        reduction = -ds
+        if shift <= 0.0:
+            heapq.heappush(heap_le0, (-reduction, e, stamp[e]))
         else:
-            rho = np.full(reduction.shape, _NEG_INF)
-            np.divide(reduction, shift, out=rho, where=valid)
-            pick = int(np.argmax(rho))
-        new_submax = float(submax[dst[pick]] + shift[pick])
-        v = int(dst[pick])
-        u = int(src[pick])
-        sub = preorder[int(tin[v]) : int(tout[v]) + 1].copy()
-        tree.apply_swap_edge(pick)
+            heapq.heappush(heap_pos, (-(reduction / shift), e, stamp[e]))
+
+    for e in range(len(src)):
+        admit(e)
+
+    tree_ret = tree.ret
+    applied = 0
+    while applied < rounds:
+        heap = heap_le0
+        while heap and heap[0][2] != stamp[heap[0][1]]:
+            heapq.heappop(heap)
+        if not heap:
+            heap = heap_pos
+            while heap and heap[0][2] != stamp[heap[0][1]]:
+                heapq.heappop(heap)
+            if not heap:
+                break
+        pick = heap[0][1]  # re-stamped below: v's in-edges include it
+        v = dst[pick]
+        u = src[pick]
+        p = parent[v]
+        shift = ret[u] + er[pick] - ret[v]
+        tree._apply_swap_python(pick, u, v)
         applied += 1
+        parent[v] = u
+        par_edge[v] = pick
         if record is not None:
-            record.append((pick, new_submax, tree.total_storage))
-        # v's parent edge changed: ds / nontree for its in-edges
-        ein = cg.in_slice(v)
-        ds[ein] = es[ein] - es[tree.par_edge[v]]
-        nontree[ein] = src[ein] != u
-        reduction[ein] = -ds[ein]
-        # retrieval shifted inside subtree(v) only (sizes don't enter
-        # shift): recompute it for edges touching the subtree, and the
-        # cycle mask for edges leaving it, on the post-move intervals
-        e_out = _csr_gather(out_indptr, out_edges, sub)
-        e_in = _csr_gather(in_indptr, in_edges, sub)
-        touched = np.concatenate([e_out, e_in])
-        shift[touched] = ret[src[touched]] + er[touched] - ret[dst[touched]]
-        shift_le0[touched] = shift[touched] <= 0.0
-        cyc[e_out] = (
-            (src[e_out] != aux)
-            & (tin[dst[e_out]] <= tin[src[e_out]])
-            & (tout[src[e_out]] <= tout[dst[e_out]])
-        )
-        # recombine the static mask where any ingredient changed
-        sidx = np.concatenate([ein, e_out])
-        static_ok[sidx] = nontree[sidx] & ~cyc[sidx] & (ds[sidx] < 0.0)
+            record.append((pick, submax[v] + shift, tree.total_storage))
+        sub = [v]
+        for x in sub:
+            sub.extend(children[x])
+        if shift != 0.0:
+            for x in sub:
+                ret[x] = float(tree_ret[x])
+                submax[x] += shift
+        changed = []
+        # old chain lost subtree(v): recompute from the children until a
+        # maximum stands (AUX's is never read: no edge enters AUX)
+        x = p
+        while x != aux:
+            m = ret[x]
+            for c in children[x]:
+                if submax[c] > m:
+                    m = submax[c]
+            if m == submax[x]:
+                break
+            submax[x] = m
+            changed.append(x)
+            x = parent[x]
+        # new chain gained it: max-merge until a maximum stands
+        m = submax[v]
+        x = u
+        while x != aux and submax[x] < m:
+            submax[x] = m
+            changed.append(x)
+            x = parent[x]
+        touched = set()
+        for x in sub:
+            touched.update(in_edges[in_ptr[x] : in_ptr[x + 1]])
+            touched.update(out_edges[out_ptr[x] : out_ptr[x + 1]])
+        for x in changed:
+            touched.update(in_edges[in_ptr[x] : in_ptr[x + 1]])
+        for e in touched:
+            stamp[e] += 1
+            admit(e)
+    if applied:
+        # the walk path left child lists in move order; hand them on in
+        # index order, as every vectorized swap does (retirement repair
+        # re-homes children in list order)
+        tree._children_dirty = True
     return applied
 
 
@@ -669,8 +741,10 @@ def bmr_lmg_array(
 
     Starts from the all-materialized plan and applies the best
     storage-reducing swap whose moved subtree stays within the
-    retrieval budget, one masked array scan per round.  Raises
-    ``ValueError`` on negative (infeasible) retrieval budgets.
+    retrieval budget, picked from :func:`_bmr_run`'s lazy heaps (about
+    one move per version, each O(subtree + depth) plus the re-pushed
+    edges).  Raises ``ValueError`` on negative (infeasible) retrieval
+    budgets.
     """
     cg = _compiled(graph)
     if not within_budget(0.0, retrieval_budget):
@@ -693,9 +767,10 @@ def mp_local_array(
     """Array kernel for MP + BMR local moves; plan-identical to dict
     :func:`~repro.algorithms.bmr_greedy.mp_local`.
 
-    Runs :func:`mp_array` and refines its tree with the same swap loop
-    as :func:`bmr_lmg_array`; never stores more than plain MP.  Raises
-    ``ValueError`` on infeasible retrieval budgets, like MP itself.
+    Runs :func:`mp_array` and refines its tree with the same lazy-heap
+    swap loop as :func:`bmr_lmg_array`, resumed from MP's tree; never
+    stores more than plain MP.  Raises ``ValueError`` on infeasible
+    retrieval budgets, like MP itself.
     """
     cg = _compiled(graph)
     tree = mp_array(cg, retrieval_budget)

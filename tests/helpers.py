@@ -1,4 +1,4 @@
-"""Shared test helpers: seeded instances and span-based budgets.
+"""Shared test helpers: seeded instances, span-based budgets, tree checks.
 
 One implementation behind both access paths: the conftest fixtures
 (``repo_factory`` / ``graph_factory`` / ``storage_budget`` /
@@ -8,6 +8,8 @@ full parameter tuple and generation is deterministic, so a cached
 object is indistinguishable from a fresh one — treat everything
 returned here as read-only.
 """
+
+import numpy as np
 
 from repro.vcs import build_graph_from_repo, random_repository
 
@@ -79,3 +81,11 @@ def repo_graph_budget(commits, *, seed=0, span=2.0, problem="msr",
     else:
         budget = retrieval_span_budget(graph, span)
     return repo, graph, budget
+
+
+def assert_bit_identical(a, b):
+    """Two ArrayPlanTrees hold bit-identical state and float totals."""
+    for field in ("parent", "par_edge", "size", "ret"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert a.total_storage == b.total_storage
+    assert a.total_retrieval == b.total_retrieval

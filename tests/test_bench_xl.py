@@ -34,9 +34,12 @@ def test_small_tier_payload(tmp_path):
     assert load_bench().main(["--sizes", "200", "--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     assert payload["all_plans_identical"] is True
-    rounds = payload["edmonds_rounds"]
-    assert isinstance(rounds, int) and not isinstance(rounds, bool)
+    for key in ("edmonds_rounds", "bmr_lmg_rounds"):
+        rounds = payload[key]
+        assert isinstance(rounds, int) and not isinstance(rounds, bool), key
     (tier,) = payload["tiers"]
+    (bmr,) = [r for r in tier["solve"] if r["solver"] == "bmr-lmg"]
+    assert payload["bmr_lmg_rounds"] == bmr["moves_applied"] > 0
     assert [r["plans_identical"] for r in tier["solve"]] == [True, True, True]
     stale = [k for k in all_keys(payload) if "rescan" in k or "speedup" in k]
     assert stale == []

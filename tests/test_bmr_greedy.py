@@ -10,15 +10,23 @@ The ISSUE-4 acceptance bar, pinned here:
 * ``mp_local`` never stores more than plain MP, and both greedy plans
   are sanity-checked against the DP-BMR reference;
 * the trajectory-replay retrieval-budget sweep emits plans identical
-  to independent per-budget solves.
+  to independent per-budget solves;
+* on small integer-cost graphs (many equal ratios, zero-shift moves)
+  and at boundary budgets, the lazy-heap kernel still picks the dict
+  reference's move, and a run resumed from a mid-trajectory clone ends
+  bit-identical to the uninterrupted run.
 """
 
+from functools import partial
+
+import numpy as np
 import pytest
 
 from repro.algorithms import mp
 from repro.algorithms.bmr_greedy import bmr_lmg, mp_local
 from repro.algorithms.dp_bmr import dp_bmr_heuristic
 from repro.algorithms.registry import get_solver
+from repro.core.graph import VersionGraph
 from repro.core.solution import PlanTree
 from repro.core.tolerance import within_budget, within_budget_recomputed
 from repro.core.problems import evaluate_plan
@@ -28,8 +36,16 @@ from repro.fastgraph import (
     mp_local_array,
     sweep_greedy_bmr,
 )
+from repro.fastgraph.solvers import (
+    _bmr_default_rounds,
+    _bmr_run,
+    _materialized_array_tree,
+    mp_array,
+)
 from repro.gen import natural_graph, random_digraph
 from repro.gen.presets import PRESETS
+
+from helpers import assert_bit_identical
 
 # Scales keep each preset at a size where the dict reference is fast
 # enough for CI (mirrors tests/test_fastgraph.py).
@@ -179,3 +195,94 @@ class TestTrajectorySweep:
         g = random_digraph(6, seed=2)
         entries = sweep_greedy_bmr(g, "bmr-lmg", [-5.0, -1.0])
         assert all(e.plan is None for e in entries)
+
+
+def tie_graph(seed: int, n: int = 14) -> VersionGraph:
+    """Dense small graph with small integer costs.
+
+    Delta retrievals in {0, 1, 2} make zero-shift moves common, and
+    storage savings over a handful of values make many moves share the
+    same ``reduction / shift`` ratio, so the edge-order tie-break
+    decides most rounds.
+    """
+    rng = np.random.default_rng(seed)
+    g = VersionGraph(name=f"ties{seed}")
+    for v in range(n):
+        g.add_version(v, int(rng.integers(2, 7)))
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < 0.35:
+                g.add_delta(u, v, int(rng.integers(0, 4)), int(rng.integers(0, 3)))
+    return g
+
+
+def boundary_budgets(g: VersionGraph) -> list[float]:
+    """0, inf, and budgets equal to a move's own ``submax + shift``.
+
+    The recorded feasibility value of every move of the unbounded run
+    is a reachable subtree maximum after a shift; using it as the
+    budget puts that move exactly on the admission boundary.
+    """
+    cg = g.compile()
+    record: list = []
+    tree = _materialized_array_tree(cg)
+    _bmr_run(cg, tree, float("inf"), _bmr_default_rounds(cg), record)
+    reached = sorted({r for _, r, _ in record})
+    return [0.0, *reached[:: max(1, len(reached) // 4)], float("inf")]
+
+
+TIE_SEEDS = range(12)
+
+
+class TestTiesTiersBoundaries:
+    def test_generator_produces_ties_and_zero_shifts(self):
+        # at the all-materialized start every delta's shift is its own
+        # retrieval, and its reduction is s_v - s_uv
+        zero_shift = tied = 0
+        for seed in TIE_SEEDS:
+            g = tie_graph(seed)
+            keys = []
+            for u, v, d in g.deltas():
+                if d.storage < g.storage_cost(v):
+                    red = g.storage_cost(v) - d.storage
+                    flat = d.retrieval == 0
+                    zero_shift += flat
+                    keys.append((flat, red if flat else red / d.retrieval))
+            tied += len(keys) - len(set(keys))
+        assert zero_shift >= 10 and tied >= 50
+
+    @pytest.mark.parametrize("seed", TIE_SEEDS)
+    def test_kernels_match_dict(self, seed):
+        g = tie_graph(seed)
+        budgets = boundary_budgets(g)
+        assert len(budgets) >= 4
+        for rb in budgets:
+            assert_tree_equal(bmr_lmg(g, rb), bmr_lmg_array(g, rb))
+            assert_tree_equal(mp_local(g, rb), mp_local_array(g, rb))
+
+    @pytest.mark.parametrize("seed", TIE_SEEDS)
+    def test_sweep_matches_dict(self, seed):
+        g = tie_graph(seed)
+        budgets = boundary_budgets(g)
+        for e in sweep_greedy_bmr(g, "bmr-lmg", budgets):
+            assert e.plan == bmr_lmg(g, e.budget).to_plan(), e.budget
+
+    @pytest.mark.parametrize("seed", TIE_SEEDS)
+    def test_resume_from_clone_matches_uninterrupted(self, seed):
+        g = tie_graph(seed)
+        cg = g.compile()
+        rounds = _bmr_default_rounds(cg)
+        for rb in boundary_budgets(g)[1:]:
+            mp_start = partial(mp_array, retrieval_budget=rb)
+            for start in (_materialized_array_tree, mp_start):
+                full, record = start(cg), []
+                _bmr_run(cg, full, rb, rounds, record)
+                for k in sorted({1, len(record) // 2, len(record) - 1}):
+                    if not 0 < k < len(record):
+                        continue
+                    head, rest = start(cg), []
+                    assert _bmr_run(cg, head, rb, k) == k
+                    fork = head.clone()
+                    _bmr_run(cg, fork, rb, rounds - k, rest)
+                    assert_bit_identical(fork, full)
+                    assert rest == record[k:]

@@ -43,6 +43,28 @@ class TestConstruction:
         with pytest.raises(GraphError):
             Delta(0, -1)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_delta_rejected(self, bad):
+        with pytest.raises(GraphError, match="finite"):
+            Delta(bad, 1.0)
+        with pytest.raises(GraphError, match="finite"):
+            Delta(1.0, bad)
+        g = make_chain(2)
+        with pytest.raises(GraphError, match="finite"):
+            g.add_delta(1, 0, bad, 1.0)
+        assert not g.has_delta(1, 0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_storage_rejected(self, bad):
+        g = VersionGraph()
+        with pytest.raises(GraphError, match="finite"):
+            g.add_version("v", bad)
+        assert "v" not in g
+        g.add_version("w", 3.0)
+        with pytest.raises(GraphError, match="finite"):
+            g.add_version("w", bad)  # an update is checked too
+        assert g.storage_cost("w") == 3.0
+
     def test_add_delta_requires_versions(self):
         g = VersionGraph()
         g.add_version("u", 1)

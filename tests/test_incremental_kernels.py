@@ -11,9 +11,7 @@ own vectorized code, so the replay must reach *bit-identical* state
 
 Also covered here: the fresh-path (vectorized, Euler-maintaining) swap
 application agreeing with the python-walk path on arbitrary admissible
-move sequences, and the incrementally-refreshed range-max table of
-:meth:`~repro.fastgraph.plantree.ArrayPlanTree.subtree_max_retrieval`
-agreeing with a cold rebuild.
+move sequences.
 """
 
 import numpy as np
@@ -35,9 +33,12 @@ from repro.fastgraph.solvers import (
     bmr_lmg_array,
     lmg_all_array,
     lmg_array,
+    mp_array,
 )
 from repro.gen import natural_graph, random_digraph
 from repro.gen.presets import PRESETS
+
+from helpers import assert_bit_identical
 
 PRESET_CASES = [
     ("datasharing", 1.0),
@@ -65,13 +66,6 @@ def bmr_budgets(graph):
     return [top * 2.0, top * 8.0]
 
 
-def assert_bit_identical(a, b):
-    for field in ("parent", "par_edge", "size", "ret"):
-        assert np.array_equal(getattr(a, field), getattr(b, field)), field
-    assert a.total_storage == b.total_storage
-    assert a.total_retrieval == b.total_retrieval
-
-
 def replay_walk(tree, record):
     """Re-apply recorded kernel moves through the python-walk swap path."""
     cg = tree.cg
@@ -93,11 +87,21 @@ def run_bmr(cg, tree, budget, record):
     _bmr_run(cg, tree, budget, _bmr_default_rounds(cg), record)
 
 
-#: (start tree, incremental round runner, budget grid) per kernel
+def min_storage_start(cg, budget):
+    return _min_storage_array_tree(cg)
+
+
+def materialized_start(cg, budget):
+    return _materialized_array_tree(cg)
+
+
+#: (start tree, incremental round runner, budget grid) per kernel; the
+#: mp start is mp-local's (MP's tree depends on the budget)
 KERNELS = [
-    (_min_storage_array_tree, run_lmg, msr_budgets),
-    (_min_storage_array_tree, run_lmg_all, msr_budgets),
-    (_materialized_array_tree, run_bmr, bmr_budgets),
+    (min_storage_start, run_lmg, msr_budgets),
+    (min_storage_start, run_lmg_all, msr_budgets),
+    (materialized_start, run_bmr, bmr_budgets),
+    (mp_array, run_bmr, bmr_budgets),
 ]
 
 
@@ -129,9 +133,9 @@ class TestThreeWayIdentity:
         moves = 0
         for start, run, budgets in KERNELS:
             for budget in budgets(graph):
-                tree, record = start(cg), []
+                tree, record = start(cg, budget), []
                 run(cg, tree, budget, record)
-                assert_bit_identical(tree, replay_walk(start(cg), record))
+                assert_bit_identical(tree, replay_walk(start(cg, budget), record))
                 moves += len(record)
         assert moves > 0  # the replay exercised real moves
 
@@ -202,20 +206,3 @@ class TestSwapPathEquivalence:
             for v in range(n1 - 1):
                 p = int(tree.parent[v])
                 assert tin[p] < tin[v] <= tout[v] <= tout[p]
-
-    def test_subtree_max_retrieval_incremental_refresh(self):
-        graph = random_digraph(70, extra_edge_prob=0.25, seed=13)
-        cg = graph.compile()
-        rng = np.random.default_rng(17)
-        tree = _materialized_array_tree(cg)
-        tree.ensure_euler()
-        tree.subtree_max_retrieval()  # build the cached table once
-        for _ in range(30):
-            eid = self.admissible_edges(tree, rng)
-            if eid is None:
-                break
-            tree.apply_swap_edge(eid)
-            got = tree.subtree_max_retrieval()  # partial refresh
-            cold = tree.clone().subtree_max_retrieval()  # cold rebuild
-            assert np.array_equal(got, cold)
-
