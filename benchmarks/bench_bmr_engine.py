@@ -37,6 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.algorithms.bmr_greedy import bmr_lmg, mp_local
+from repro.bench import timed
 from repro.core.graph import VersionGraph
 from repro.core.tolerance import within_budget
 from repro.engine import IngestEngine
@@ -61,12 +62,6 @@ STALENESS = 0.1
 ENGINE_SOLVER = "mp-local"
 
 
-def _time(fn, *args) -> tuple[float, object]:
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return time.perf_counter() - t0, out
-
-
 # ----------------------------------------------------------------------
 # panel 1: kernels
 # ----------------------------------------------------------------------
@@ -82,8 +77,8 @@ def bench_kernels(nodes: int) -> list[dict]:
         ("bmr-lmg", bmr_lmg, bmr_lmg_array),
         ("mp-local", mp_local, mp_local_array),
     ]:
-        dict_s, ref_tree = _time(ref_fn, g, budget)
-        array_s, arr_tree = _time(arr_fn, g, budget)
+        dict_s, ref_tree = timed(ref_fn, g, budget)
+        array_s, arr_tree = timed(arr_fn, g, budget)
         plans_equal = ref_tree.parent == arr_tree.parent_map()
         feasible = within_budget(arr_tree.max_retrieval(), budget)
         rows.append(

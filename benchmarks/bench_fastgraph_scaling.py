@@ -22,11 +22,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from pathlib import Path
 
 from repro.algorithms import lmg, lmg_all, mp
 from repro.algorithms.arborescence import min_storage_plan_tree
+from repro.bench import timed
 from repro.fastgraph import lmg_all_array, lmg_array, mp_array
 from repro.fastgraph.arborescence import edmonds_rounds
 from repro.gen.presets import PRESETS
@@ -46,12 +46,6 @@ def _build(nodes: int):
     return preset.build(scale=nodes / preset.n_commits)
 
 
-def _time(fn, *args) -> tuple[float, object]:
-    t0 = time.perf_counter()
-    out = fn(*args)
-    return time.perf_counter() - t0, out
-
-
 def bench_graph(nodes: int, *, budget_factor: float = 2.0) -> list[dict]:
     """One scaling point: all three solvers, both backends."""
     g = _build(nodes)
@@ -67,12 +61,12 @@ def bench_graph(nodes: int, *, budget_factor: float = 2.0) -> list[dict]:
     ]
     rows = []
     for name, ref_fn, arr_fn, b in pairs:
-        dict_s, ref_tree = _time(ref_fn, g, b)
+        dict_s, ref_tree = timed(ref_fn, g, b)
         # the start tree is cached per compiled graph: time each array
         # solve on a fresh compile so it pays for Edmonds as dict does
         cold = g.copy()
         cold.compile()
-        array_s, arr_tree = _time(arr_fn, cold, b)
+        array_s, arr_tree = timed(arr_fn, cold, b)
         plans_equal = ref_tree.parent == arr_tree.parent_map()
         rows.append(
             {

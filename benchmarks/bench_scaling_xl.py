@@ -46,7 +46,8 @@ import numpy as np
 from repro.algorithms.bmr_greedy import bmr_lmg
 from repro.algorithms.lmg import lmg
 from repro.algorithms.lmg_all import lmg_all
-from repro.fastgraph import sweep_greedy_msr
+from repro.bench import timed
+from repro.fastgraph import sweep_greedy
 from repro.fastgraph.arborescence import edmonds_rounds, min_storage_parent_edges
 from repro.fastgraph.solvers import (
     _bmr_default_rounds,
@@ -89,12 +90,6 @@ INGEST_APPENDS = 2000
 def _build(nodes: int):
     preset = PRESETS[PRESET]
     return preset.build(scale=nodes / preset.n_commits)
-
-
-def _time(fn, *args, **kwargs) -> tuple[float, object]:
-    t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return time.perf_counter() - t0, out
 
 
 def solve_panel(graph, cg) -> list[dict]:
@@ -142,7 +137,7 @@ def solve_panel(graph, cg) -> list[dict]:
     rows = []
     for name, start, run, reference, b in cases:
         tree = start(cg)
-        secs, out = _time(run, tree)
+        secs, out = timed(run, tree)
         identical = None
         if cg.n <= DICT_CHECK_CAP:
             identical = reference(graph, b).parent == tree.parent_map()
@@ -166,7 +161,7 @@ def sweep_panel(cg) -> dict:
     """Budget-grid LMG sweep through trajectory replay."""
     base = _min_storage_array_tree(cg).total_storage
     budgets = [base * f for f in (1.05, 1.2, 1.4, 1.7, 2.0, 2.5, 3.0, 4.0)]
-    secs, entries = _time(sweep_greedy_msr, cg, "lmg", budgets)
+    secs, entries = timed(sweep_greedy, cg, "msr", "lmg", budgets)
     print(f"  sweep   lmg x{len(budgets)} budgets in {secs:8.2f}s", flush=True)
     return {
         "solver": "lmg",
@@ -186,7 +181,7 @@ def capability_panel(cg) -> dict:
     tree = _materialized_array_tree(cg)
     retrieval_budget = float(cg.edge_retrieval.max()) * 2.0
     rounds = min(CAPABILITY_ROUNDS, _bmr_default_rounds(cg))
-    secs, applied = _time(_bmr_run, cg, tree, retrieval_budget, rounds)
+    secs, applied = timed(_bmr_run, cg, tree, retrieval_budget, rounds)
     print(
         f"  bmr-cap {applied} moves in {secs:8.2f}s "
         f"({applied / secs if secs > 0 else 0.0:,.0f} moves/s)",
@@ -237,7 +232,7 @@ def bench_tier(nodes: int) -> dict:
         "index_dtype": str(np.dtype(cg.index_dtype)),
     }
     if nodes <= SOLVE_CAP:
-        ed_s, _ = _time(min_storage_parent_edges, cg)
+        ed_s, _ = timed(min_storage_parent_edges, cg)
         tier["edmonds_seconds"] = ed_s
         tier["edmonds_rounds"] = edmonds_rounds(cg)
         print(

@@ -35,7 +35,7 @@ from pathlib import Path
 
 from repro.bench.harness import msr_budget_grid
 from repro.core.problems import evaluate_plan
-from repro.fastgraph import lmg_all_array, lmg_array, sweep_greedy_msr
+from repro.fastgraph import lmg_all_array, lmg_array, sweep_greedy
 from repro.fastgraph import solvers as _solvers
 from repro.gen.presets import PRESETS
 
@@ -126,7 +126,7 @@ def bench_dense_sharing(g, points: int) -> dict:
     cold = _cold(g)
     try:
         t0 = time.perf_counter()
-        entries = sweep_greedy_msr(cold, "lmg-all", grid)
+        entries = sweep_greedy(cold, "msr", "lmg-all", grid)
         sweep_s = time.perf_counter() - t0
     finally:
         _traj.TRAJECTORY_SOLVERS[("msr", "lmg-all")] = original
@@ -167,7 +167,7 @@ def bench_sweep(g, points: int) -> list[dict]:
     for name, solve in SOLVERS.items():
         cold = _cold(g)
         t0 = time.perf_counter()
-        entries = sweep_greedy_msr(cold, name, grid)
+        entries = sweep_greedy(cold, "msr", name, grid)
         sweep_s = time.perf_counter() - t0
 
         # independent path does the same work the pre-sweep harness did

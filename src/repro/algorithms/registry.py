@@ -9,7 +9,7 @@ by ``(problem, name)`` with ``problem in repro.core.problemspec.SPECS``:
   infeasible for the family: below the minimum achievable storage for
   MSR, negative retrieval for BMR);
 * :data:`SWEEPS` — whole-grid trajectory-replay sweeps
-  ``f(graph, budgets, *, start_edges=None) -> list[SweepEntry]`` (one
+  ``f(graph, budgets) -> list[SweepEntry]`` (one
   solver run for the entire budget grid; only greedy solvers with
   budget-monotone trajectories qualify);
 * :data:`ENGINE_KERNELS` — tree-level kernels
@@ -75,7 +75,7 @@ __all__ = [
     "get_solver",
     "get_sweep",
     "get_engine_solver",
-    "sweep_start_edges",
+    "warm_sweep_start",
 ]
 
 #: ``(problem, name)`` -> ``(array kernel, dict reference kernel)`` for
@@ -122,9 +122,9 @@ def _bmr_ilp(graph: VersionGraph, budget: float) -> StoragePlan | None:
     return bmr_ilp(graph, budget).plan
 
 
-def _sweep(problem: str, name: str, graph, budgets, *, start_edges=None):
+def _sweep(problem: str, name: str, graph, budgets):
     """Run the trajectory-replay sweep of one greedy solver."""
-    return sweep_greedy(graph, problem, name, budgets, start_edges=start_edges)
+    return sweep_greedy(graph, problem, name, budgets)
 
 
 #: ``(problem, name)`` -> backend -> plan-level solver, for explicit
@@ -146,14 +146,11 @@ SOLVERS = {
 }
 
 #: ``(problem, name)`` -> whole-grid trajectory-replay sweep
-#: ``f(graph, budgets, *, start_edges=None) -> list[SweepEntry]``, one
-#: per solver the replay engine supports (the LMG family and
-#: ``bmr-lmg``).  The MP family is absent by design: MP's Prim growth
-#: depends on the retrieval budget at every relaxation, so runs at
-#: different budgets share no prefix (see
-#: :mod:`repro.fastgraph.trajectory`).  ``start_edges`` ships a shared
-#: Edmonds arborescence to MSR sweeps; families whose start tree is
-#: budget-independent of it (BMR's all-materialized start) ignore it.
+#: ``f(graph, budgets) -> list[SweepEntry]``, one per solver the replay
+#: engine supports (the LMG family and ``bmr-lmg``).  The MP family is
+#: absent by design: MP's Prim growth depends on the retrieval budget
+#: at every relaxation, so runs at different budgets share no prefix
+#: (see :mod:`repro.fastgraph.trajectory`).
 SWEEPS = {key: partial(_sweep, *key) for key in TRAJECTORY_SOLVERS}
 
 #: ``(problem, name)`` -> tree-level engine kernel
@@ -244,22 +241,21 @@ def get_engine_solver(problem: str, name: str):
         ) from None
 
 
-def sweep_start_edges(
-    problem: str, graph: VersionGraph, solvers
-) -> list | None:
-    """The Edmonds start tree shared by a problem's trajectory sweeps.
+def warm_sweep_start(problem: str, graph: VersionGraph, solvers) -> None:
+    """Compute the start tree a problem's trajectory sweeps share.
 
-    Returns ``(version index, parent edge id)`` pairs when the family's
-    sweeps start from the minimum-storage arborescence and at least one
-    requested solver has a trajectory sweep; ``None`` otherwise
-    (per-budget solvers only, or families with budget-independent
-    starts like BMR's all-materialized tree).
+    The minimum-storage arborescence is cached on ``graph.compile()``,
+    so every later sweep of the panel — and every pool worker handed
+    the pickled graph — starts from it without another Edmonds run.
+    A no-op unless the family's sweeps start from that tree and at
+    least one requested solver has a trajectory sweep (BMR's
+    all-materialized start needs no Edmonds run).
     """
     spec = get_spec(problem)
     if not spec.sweep_uses_start_tree:
-        return None
+        return
     if not any(get_sweep(spec.name, s) is not None for s in solvers):
-        return None
+        return
     from ..fastgraph.arborescence import min_storage_parent_edges
 
-    return min_storage_parent_edges(graph.compile())
+    min_storage_parent_edges(graph.compile())

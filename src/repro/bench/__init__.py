@@ -11,6 +11,7 @@ from .harness import (
     run_bmr_experiment,
     run_experiment,
     run_msr_experiment,
+    timed,
 )
 from .figures import (
     DEFAULT_SCALES,
@@ -35,6 +36,7 @@ __all__ = [
     "ascii_plot",
     "markdown_table",
     "results_dir",
+    "timed",
     "DEFAULT_SCALES",
     "build",
     "table4",

@@ -331,7 +331,8 @@ class ProblemSpec:
     replay_halts_on_budget: bool
 
     #: True when trajectory sweeps start from the minimum-storage
-    #: arborescence and can reuse one shared Edmonds run across tasks.
+    #: arborescence, so one Edmonds run cached on the compiled graph
+    #: (``registry.warm_sweep_start``) serves every sweep task.
     sweep_uses_start_tree: bool
 
     def tree_objective(self, tree: Any) -> float:

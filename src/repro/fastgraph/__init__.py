@@ -35,10 +35,10 @@ into flat NumPy arrays and reruns the greedy hot loops on top of them:
     ``tests/test_bmr_greedy.py`` across every ``repro.gen.presets``
     dataset.
 
-:func:`sweep_greedy` (thin wrappers :func:`sweep_greedy_msr` /
-:func:`sweep_greedy_bmr`)
-    Single-pass budget-grid sweeps for the greedy families of **both**
-    problem specs via trajectory replay
+:func:`sweep_greedy`
+    ``sweep_greedy(graph, problem, solver, budgets)``: single-pass
+    budget-grid sweeps for the greedy families of **both** problem
+    specs via trajectory replay
     (:mod:`repro.fastgraph.trajectory`): one recorded solver run at the
     loosest budget emits plan-identical results for the entire grid;
     diverged grid points are grouped into bands that share the nearest
@@ -54,15 +54,7 @@ path.  See :mod:`repro.algorithms.registry`.
 from .compiled import CompiledGraph
 from .plantree import ArrayPlanTree
 from .solvers import bmr_lmg_array, lmg_all_array, lmg_array, mp_array, mp_local_array
-from .trajectory import (
-    BMR_GREEDY_SWEEP_SOLVERS,
-    GREEDY_SWEEP_SOLVERS,
-    TRAJECTORY_SOLVERS,
-    SweepEntry,
-    sweep_greedy,
-    sweep_greedy_bmr,
-    sweep_greedy_msr,
-)
+from .trajectory import TRAJECTORY_SOLVERS, SweepEntry, sweep_greedy
 
 __all__ = [
     "CompiledGraph",
@@ -74,9 +66,5 @@ __all__ = [
     "mp_local_array",
     "SweepEntry",
     "sweep_greedy",
-    "sweep_greedy_msr",
-    "sweep_greedy_bmr",
     "TRAJECTORY_SOLVERS",
-    "GREEDY_SWEEP_SOLVERS",
-    "BMR_GREEDY_SWEEP_SOLVERS",
 ]

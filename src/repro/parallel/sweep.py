@@ -13,21 +13,20 @@ without a replayable trajectory (DP, ILP, MP and ``mp-local`` — MP's
 Prim growth is budget-dependent at every relaxation, so its runs share
 no prefix) still fan out one task per budget.
 
-One entry point, :func:`sweep`, serves every problem family registered
-in :data:`repro.core.problemspec.SPECS`; :func:`sweep_msr` /
-:func:`sweep_bmr` are thin wrappers.  Tasks carry the problem name, so
-workers resolve solvers through the unified registry.
+One entry point, ``sweep(graph, problem, solvers, budgets)``, serves
+every problem family registered in
+:data:`repro.core.problemspec.SPECS`.  Tasks carry the problem name,
+so workers resolve solvers through the unified registry.
 
-Shared read-only state is shipped to workers **once** through the
-initializer (copy-on-write under fork, pickled once under spawn):
-
-* the graph, with its **compiled** :class:`~repro.fastgraph.
-  CompiledGraph` cache warmed (``graph.compile()``) so the flat-array
-  kernels never re-extend or re-index per probe;
-* the family's shared sweep start state when it has one
-  (:func:`~repro.algorithms.registry.sweep_start_edges` — the
-  minimum-storage Edmonds arborescence for MSR; ``None`` for families
-  with budget-independent starts like BMR's all-materialized tree).
+The graph is shipped to workers **once** through the initializer
+(copy-on-write under fork, pickled once under spawn), with its
+**compiled** :class:`~repro.fastgraph.CompiledGraph` cache warmed in
+the parent first: the flat-array kernels never re-extend or re-index
+per probe, and for families whose sweeps start from the
+minimum-storage arborescence (MSR) the parent computes that tree once
+(:func:`~repro.algorithms.registry.warm_sweep_start`).  The tree is
+cached on the compiled graph, which travels with it, so no worker
+runs Edmonds.
 
 Trajectory-replay contract: each grid point's plan is identical to an
 independent per-budget solve — while the recorded move stays feasible
@@ -50,22 +49,18 @@ from dataclasses import dataclass
 from ..core.graph import VersionGraph
 from ..core.problems import PlanScore, evaluate_plan
 from ..core.problemspec import get_spec
-from ..algorithms.registry import get_solver, get_sweep, sweep_start_edges
+from ..algorithms.registry import get_solver, get_sweep, warm_sweep_start
 from .pool import parallel_map
 
-__all__ = ["SweepPoint", "sweep", "sweep_msr", "sweep_bmr"]
+__all__ = ["SweepPoint", "sweep"]
 
 # worker-global state, set by the initializer (fork or spawn)
 _WORKER_GRAPH: VersionGraph | None = None
-_WORKER_START: list[tuple[int, int]] | None = None
 
 
-def _init_worker(
-    graph: VersionGraph, start_edges: list[tuple[int, int]] | None = None
-) -> None:
-    global _WORKER_GRAPH, _WORKER_START
+def _init_worker(graph: VersionGraph) -> None:
+    global _WORKER_GRAPH
     _WORKER_GRAPH = graph
-    _WORKER_START = start_edges
     # Warm the compiled-graph cache once per worker; forked workers
     # inherit the parent's cache (and spawned workers the pickled one),
     # making this a no-op.
@@ -95,7 +90,7 @@ def _run_task(task: tuple[str, str, list[float]]) -> list[SweepPoint]:
     grid_sweep = get_sweep(problem, name)
     if grid_sweep is not None:
         t0 = time.perf_counter()
-        entries = grid_sweep(graph, budgets, start_edges=_WORKER_START)
+        entries = grid_sweep(graph, budgets)
         dt = time.perf_counter() - t0
         return [
             SweepPoint(solver=name, budget=e.budget, score=e.score, seconds=dt)
@@ -124,12 +119,12 @@ def sweep(
 
     Sweep-capable solvers cover their whole grid in a single
     trajectory-replay task; the rest fan out per budget, all sharing
-    one compiled graph (and, for families that use one, a shared sweep
-    start tree).
+    one compiled graph (and, for families that use one, its cached
+    sweep start tree).
     """
     spec = get_spec(problem)
     graph.compile()  # one compiled graph shared by all tasks
-    start_edges = sweep_start_edges(spec.name, graph, solvers)
+    warm_sweep_start(spec.name, graph, solvers)
     grid = [float(b) for b in budgets]
     tasks: list[tuple[str, str, list[float]]] = []
     for name in solvers:
@@ -145,28 +140,6 @@ def sweep(
         # instead of tripping the small-input serial fallback
         min_items_per_worker=1,
         initializer=_init_worker,
-        initargs=(graph, start_edges),
+        initargs=(graph,),
     )
     return [pt for chunk in chunks for pt in chunk]
-
-
-def sweep_msr(
-    graph: VersionGraph,
-    solvers: list[str],
-    budgets: list[float],
-    *,
-    processes: int | None = None,
-) -> list[SweepPoint]:
-    """Storage-budget sweep: :func:`sweep` with ``problem="msr"``."""
-    return sweep(graph, "msr", solvers, budgets, processes=processes)
-
-
-def sweep_bmr(
-    graph: VersionGraph,
-    solvers: list[str],
-    budgets: list[float],
-    *,
-    processes: int | None = None,
-) -> list[SweepPoint]:
-    """Retrieval-budget sweep: :func:`sweep` with ``problem="bmr"``."""
-    return sweep(graph, "bmr", solvers, budgets, processes=processes)

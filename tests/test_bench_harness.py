@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.bench import (
     markdown_table,
     msr_budget_grid,
     run_bmr_experiment,
+    run_experiment,
     run_msr_experiment,
 )
 from repro.gen import natural_graph
@@ -85,6 +87,51 @@ class TestBMRExperiment:
         ys = res.objective["mp"].y
         assert math.isinf(ys[0])
         assert math.isfinite(ys[1])
+
+
+class TestStartTreeAccounting:
+    """A panel computes the shared MSR start tree once, under the timer
+    whose reading folds into every sweep series' runtime."""
+
+    @pytest.fixture
+    def edmonds_seconds(self, monkeypatch):
+        """Wall time of every array Edmonds run during the test."""
+        from repro.fastgraph import arborescence
+
+        original = arborescence._edmonds_array
+        runs = []
+
+        def counted(*args, **kwargs):
+            t0 = time.perf_counter()
+            out = original(*args, **kwargs)
+            runs.append(time.perf_counter() - t0)
+            return out
+
+        monkeypatch.setattr(arborescence, "_edmonds_array", counted)
+        return runs
+
+    def test_msr_panel_runs_edmonds_once(self, graph, edmonds_seconds, monkeypatch):
+        from repro.bench import harness
+
+        warm = harness.warm_sweep_start
+        runs_after_warm = []
+
+        def spy(*args):
+            warm(*args)
+            runs_after_warm.append(len(edmonds_seconds))
+
+        monkeypatch.setattr(harness, "warm_sweep_start", spy)
+        cold = graph.copy()  # no compiled cache, so no cached start tree
+        res = run_experiment(cold, problem="msr", name="t", solvers=["lmg", "lmg-all"])
+        # the one run happens in the warm call, under the harness timer
+        assert runs_after_warm == [1]
+        assert len(edmonds_seconds) == 1
+        for solver in ("lmg", "lmg-all"):
+            assert min(res.runtime[solver].y) >= edmonds_seconds[0]
+
+    def test_bmr_panel_runs_no_edmonds(self, graph, edmonds_seconds):
+        run_experiment(graph.copy(), problem="bmr", name="t", solvers=["bmr-lmg"])
+        assert edmonds_seconds == []
 
 
 class TestRendering:

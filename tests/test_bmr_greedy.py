@@ -34,7 +34,7 @@ from repro.fastgraph import (
     ArrayPlanTree,
     bmr_lmg_array,
     mp_local_array,
-    sweep_greedy_bmr,
+    sweep_greedy,
 )
 from repro.fastgraph.solvers import (
     _bmr_default_rounds,
@@ -167,7 +167,7 @@ class TestTrajectorySweep:
         g = random_digraph(13, extra_edge_prob=0.3, seed=seed)
         rmax = g.max_retrieval_cost()
         budgets = [-1.0, 0.0, rmax * 0.25, rmax * 0.8, rmax * 2, rmax * 5, rmax]
-        entries = sweep_greedy_bmr(g, "bmr-lmg", budgets)
+        entries = sweep_greedy(g, "bmr", "bmr-lmg", budgets)
         assert [e.budget for e in entries] == [float(b) for b in budgets]
         for e in entries:
             if e.budget < 0:
@@ -181,7 +181,7 @@ class TestTrajectorySweep:
         g = natural_graph(80, seed=7)
         rmax = g.max_retrieval_cost()
         budgets = [rmax * f for f in (0.1, 0.3, 0.6, 1.0, 1.8, 3.0, 6.0)]
-        entries = sweep_greedy_bmr(g, "bmr-lmg", budgets)
+        entries = sweep_greedy(g, "bmr", "bmr-lmg", budgets)
         assert any(e.replayed for e in entries)  # replay actually used
         for e in entries:
             assert e.plan == bmr_lmg_array(g, e.budget).to_plan()
@@ -189,11 +189,11 @@ class TestTrajectorySweep:
     def test_unknown_sweep_solver_raises(self):
         g = random_digraph(6, seed=1)
         with pytest.raises(KeyError, match="unknown BMR sweep solver"):
-            sweep_greedy_bmr(g, "mp", [1.0])
+            sweep_greedy(g, "bmr", "mp", [1.0])
 
     def test_all_infeasible_grid(self):
         g = random_digraph(6, seed=2)
-        entries = sweep_greedy_bmr(g, "bmr-lmg", [-5.0, -1.0])
+        entries = sweep_greedy(g, "bmr", "bmr-lmg", [-5.0, -1.0])
         assert all(e.plan is None for e in entries)
 
 
@@ -264,7 +264,7 @@ class TestTiesTiersBoundaries:
     def test_sweep_matches_dict(self, seed):
         g = tie_graph(seed)
         budgets = boundary_budgets(g)
-        for e in sweep_greedy_bmr(g, "bmr-lmg", budgets):
+        for e in sweep_greedy(g, "bmr", "bmr-lmg", budgets):
             assert e.plan == bmr_lmg(g, e.budget).to_plan(), e.budget
 
     @pytest.mark.parametrize("seed", TIE_SEEDS)

@@ -1,5 +1,6 @@
 """Tests for the parallel substrate (pool, sweeps, parallel DP)."""
 
+import importlib
 import math
 import multiprocessing
 
@@ -10,14 +11,22 @@ from repro.parallel import (
     default_workers,
     dp_msr_frontier_parallel,
     parallel_map,
-    sweep_bmr,
-    sweep_msr,
+    sweep,
 )
 from repro.algorithms import dp_msr_frontier, min_storage_plan_tree
+
+# the module, not the ``sweep`` function the package re-exports
+sweep_module = importlib.import_module("repro.parallel.sweep")
 
 
 def square(x):
     return x * x
+
+
+def probe_start_tree(task):
+    """Sweep-task stand-in: report whether this worker's graph arrived
+    with its start tree cached (reads the cache, never runs Edmonds)."""
+    return [sweep_module._WORKER_GRAPH._compiled._start is not None]
 
 
 def raise_on_three(x):
@@ -55,8 +64,8 @@ class TestSweeps:
     def test_msr_sweep_serial_vs_parallel(self, graph):
         base = min_storage_plan_tree(graph).total_storage
         budgets = [base * f for f in (1.05, 1.3, 1.8, 2.5)]
-        serial = sweep_msr(graph, ["lmg", "lmg-all"], budgets, processes=1)
-        para = sweep_msr(graph, ["lmg", "lmg-all"], budgets, processes=2)
+        serial = sweep(graph, "msr", ["lmg", "lmg-all"], budgets, processes=1)
+        para = sweep(graph, "msr", ["lmg", "lmg-all"], budgets, processes=2)
         assert len(serial) == len(para) == 8
         for a, b in zip(serial, para):
             assert a.solver == b.solver and a.budget == b.budget
@@ -64,12 +73,12 @@ class TestSweeps:
 
     def test_msr_sweep_infeasible_budget(self, graph):
         base = min_storage_plan_tree(graph).total_storage
-        pts = sweep_msr(graph, ["lmg"], [base * 0.1], processes=1)
+        pts = sweep(graph, "msr", ["lmg"], [base * 0.1], processes=1)
         assert not pts[0].feasible
 
     def test_bmr_sweep(self, graph):
         budgets = [0.0, graph.max_retrieval_cost() * 3]
-        pts = sweep_bmr(graph, ["mp", "dp-bmr"], budgets, processes=1)
+        pts = sweep(graph, "bmr", ["mp", "dp-bmr"], budgets, processes=1)
         for p in pts:
             assert p.feasible
             assert p.score.max_retrieval <= p.budget + 1e-6
@@ -83,33 +92,53 @@ class TestSweeps:
 
         base = min_storage_plan_tree(graph).total_storage
         budgets = [base * f for f in (1.05, 1.4, 2.2)]
-        pts = sweep_msr(graph, ["lmg", "lmg-all"], budgets, processes=1)
+        pts = sweep(graph, "msr", ["lmg", "lmg-all"], budgets, processes=1)
         for p in pts:
             plan = get_solver("msr", p.solver)(graph, p.budget)
             assert p.score == evaluate_plan(graph, plan)
 
     def test_worker_initializer_under_spawn(self, graph):
-        # The initializer ships the graph plus the shared Edmonds start
-        # tree; under spawn both are pickled instead of inherited, so
-        # exercise that path explicitly (fork-only coverage otherwise).
-        from repro.fastgraph.arborescence import min_storage_parent_edges
+        # The initializer ships the graph with its compiled cache; under
+        # spawn it is pickled instead of inherited, so exercise that
+        # path explicitly (fork-only coverage otherwise).
         from repro.parallel.sweep import _init_worker, _run_task
 
         base = min_storage_plan_tree(graph).total_storage
         budgets = [base * 1.1, base * 2.0]
-        start_edges = min_storage_parent_edges(graph.compile())
+        graph.compile()
         tasks = [("msr", "lmg", budgets), ("msr", "lmg-all", budgets)]
         ctx = multiprocessing.get_context("spawn")
         with ctx.Pool(
-            processes=2, initializer=_init_worker, initargs=(graph, start_edges)
+            processes=2, initializer=_init_worker, initargs=(graph,)
         ) as pool:
             chunks = pool.map(_run_task, tasks)
         flat = [p for chunk in chunks for p in chunk]
-        serial = sweep_msr(graph, ["lmg", "lmg-all"], budgets, processes=1)
+        serial = sweep(graph, "msr", ["lmg", "lmg-all"], budgets, processes=1)
         assert len(flat) == len(serial) == 4
         for a, b in zip(flat, serial):
             assert a.solver == b.solver and a.budget == b.budget
             assert a.score == b.score
+
+    def test_spawn_workers_find_start_tree_warm(self, graph, monkeypatch):
+        # sweep() must compute the MSR start tree in the parent, so the
+        # pickled graph carries it and no spawned worker runs Edmonds.
+        # Its pool is replaced by a spawn pool with the same initializer
+        # and initargs that maps only the probe task.
+        cold = graph.copy()
+        assert cold._compiled is None
+        warm = []
+
+        def spawn_map(fn, items, *, processes, initializer, initargs, **_):
+            ctx = multiprocessing.get_context("spawn")
+            with ctx.Pool(processes, initializer=initializer, initargs=initargs) as pool:
+                chunks = pool.map(probe_start_tree, items, chunksize=1)
+            warm.extend(w for chunk in chunks for w in chunk)
+            return []
+
+        monkeypatch.setattr(sweep_module, "parallel_map", spawn_map)
+        base = min_storage_plan_tree(graph).total_storage
+        sweep(cold, "msr", ["lmg", "lmg-all"], [base * 1.1, base * 2.0], processes=2)
+        assert warm == [True, True]
 
 
 class TestParallelDP:
