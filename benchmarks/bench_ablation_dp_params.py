@@ -8,16 +8,20 @@ of the tick budget, and the run-time/quality effect of the pruning cap.
 """
 
 import math
-import time
 
 import numpy as np
 
 from repro.algorithms.dp_bmr import extract_index
 from repro.algorithms.dp_msr import DPMSRSolver
-from repro.bench import markdown_table
+from repro.bench import markdown_table, timed
 from repro.bench.harness import msr_budget_grid
 
 TICK_GRID = [8, 32, 128]
+
+
+def _frontier(g, index, **options):
+    """Build and solve one DP-MSR instance: the timed region."""
+    return DPMSRSolver(g, index=index, **options).frontier()
 
 
 def bench_tick_budget_quality(benchmark, dataset_cache):
@@ -28,9 +32,7 @@ def bench_tick_budget_quality(benchmark, dataset_cache):
     def run():
         out = {}
         for ticks in TICK_GRID:
-            t0 = time.perf_counter()
-            f = DPMSRSolver(g, index=index, ticks=ticks).frontier()
-            dt = time.perf_counter() - t0
+            dt, f = timed(_frontier, g, index, ticks=ticks)
             out[ticks] = (dt, [f.best_retrieval_within(b) for b in budgets])
         return out
 
@@ -59,13 +61,9 @@ def bench_pruning_cap(benchmark, dataset_cache):
     budgets = msr_budget_grid(g, points=4, span=1.9)
 
     def run():
-        t0 = time.perf_counter()
-        full = DPMSRSolver(g, index=index, ticks=96).frontier()
-        t_full = time.perf_counter() - t0
+        t_full, full = timed(_frontier, g, index, ticks=96)
         cap = budgets[-1]
-        t0 = time.perf_counter()
-        pruned = DPMSRSolver(g, index=index, ticks=96, storage_cap=cap).frontier()
-        t_pruned = time.perf_counter() - t0
+        t_pruned, pruned = timed(_frontier, g, index, ticks=96, storage_cap=cap)
         return full, t_full, pruned, t_pruned
 
     full, t_full, pruned, t_pruned = benchmark.pedantic(run, rounds=1, iterations=1)

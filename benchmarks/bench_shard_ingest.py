@@ -47,6 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.bench import timed
 from repro.engine import IngestEngine, ShardRouter
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -277,9 +278,7 @@ def bench_stitch(versions: int) -> dict:
     ) as router:  # default CRC32 routing: deltas cross shards freely
         for op in ops:
             apply_op(router, op)
-        t0 = time.perf_counter()
-        plan = router.stitch()
-        stitch_seconds = time.perf_counter() - t0
+        stitch_seconds, plan = timed(router.stitch)
     matches = plan == ref_plan
     print(
         f"stitch:    {len(ops)} ops, stitch {stitch_seconds * 1e3:6.1f} ms, "

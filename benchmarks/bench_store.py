@@ -40,6 +40,7 @@ from collections import defaultdict
 from pathlib import Path
 
 from repro.algorithms.registry import get_solver
+from repro.bench import timed
 from repro.fastgraph import ArrayPlanTree, CompiledGraph
 from repro.fastgraph.arborescence import min_storage_parent_edges
 from repro.store import MaterializationStore, materialize, plan_parent_map
@@ -89,9 +90,7 @@ def bench_store(nodes: int) -> dict:
     assert plan_a is not None and plan_b is not None
 
     # ---- materialize + dedup ratio -----------------------------------
-    t0 = time.perf_counter()
-    store = materialize(repo, plan_a)
-    materialize_seconds = time.perf_counter() - t0
+    materialize_seconds, store = timed(materialize, repo, plan_a)
     raw_bytes = sum(c.total_bytes() for c in repo.commits)
     stored_bytes = store.total_bytes()
     dedup_ratio = raw_bytes / stored_bytes if stored_bytes else float("inf")
@@ -146,12 +145,8 @@ def bench_store(nodes: int) -> dict:
 
     # ---- migration vs full rematerialization -------------------------
     migrating = materialize(repo, plan_a)
-    t0 = time.perf_counter()
-    report = migrating.migrate(plan_a, plan_b)
-    migrate_seconds = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    scratch = materialize(repo, plan_b)
-    scratch_seconds = time.perf_counter() - t0
+    migrate_seconds, report = timed(migrating.migrate, plan_a, plan_b)
+    scratch_seconds, scratch = timed(materialize, repo, plan_b)
     symdiff = len(edge_set(plan_a) ^ edge_set(plan_b))
     migration_matches_scratch = stores_equal(migrating, scratch)
     migration_touches_only_diff = report.edges_rewritten == symdiff

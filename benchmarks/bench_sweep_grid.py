@@ -33,7 +33,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.bench.harness import msr_budget_grid
+from repro.bench.harness import msr_budget_grid, timed
 from repro.core.problems import evaluate_plan
 from repro.fastgraph import lmg_all_array, lmg_array, sweep_greedy
 from repro.fastgraph import solvers as _solvers
@@ -125,9 +125,7 @@ def bench_dense_sharing(g, points: int) -> dict:
     _traj.TRAJECTORY_SOLVERS[("msr", "lmg-all")] = patched
     cold = _cold(g)
     try:
-        t0 = time.perf_counter()
-        entries = sweep_greedy(cold, "msr", "lmg-all", grid)
-        sweep_s = time.perf_counter() - t0
+        sweep_s, entries = timed(sweep_greedy, cold, "msr", "lmg-all", grid)
     finally:
         _traj.TRAJECTORY_SOLVERS[("msr", "lmg-all")] = original
     # symmetric work on the independent side: solve, export, score
@@ -166,9 +164,7 @@ def bench_sweep(g, points: int) -> list[dict]:
     rows = []
     for name, solve in SOLVERS.items():
         cold = _cold(g)
-        t0 = time.perf_counter()
-        entries = sweep_greedy(cold, "msr", name, grid)
-        sweep_s = time.perf_counter() - t0
+        sweep_s, entries = timed(sweep_greedy, cold, "msr", name, grid)
 
         # independent path does the same work the pre-sweep harness did
         # per budget — solve, export, score — so the timing is symmetric

@@ -458,21 +458,6 @@ class IngestEngine:
     # ------------------------------------------------------------------
     # retirement
     # ------------------------------------------------------------------
-    @staticmethod
-    def _in_subtree(tree, u: int, root: int) -> bool:
-        """True when slot ``u`` lies inside ``root``'s subtree.
-
-        An O(depth) parent walk — the tree's Euler intervals may be
-        stale mid-repair, so they cannot be trusted here.
-        """
-        aux = tree.num_versions
-        x = u
-        while 0 <= x != aux:
-            if x == root:
-                return True
-            x = int(tree.parent[x])
-        return False
-
     def retire_version(self, v: Node) -> None:  # holds: ingest-thread
         """Retire version ``v``: remove it from the graph, repair the plan.
 
@@ -480,11 +465,11 @@ class IngestEngine:
         the slot (compaction waits for the next full re-solve) and the
         budget lower bound undoes ``v``'s contribution event by event.
         Plan repair re-homes each tree child of ``v`` (subtree and all)
-        through its cheapest feasible surviving edge — lexicographic
-        ``(edge storage, resulting retrieval)``, parents in graph order,
-        materialization last, the same rule as arrival repair — then
-        detaches ``v``'s row in O(depth).  Cost: O(depth) per size walk
-        plus O(|subtree|) per re-homed child; independent of graph size.
+        through its cheapest feasible surviving edge — the arrival rule
+        (:meth:`_cheapest`), skipping parents inside the child's own
+        subtree — then detaches ``v``'s row in O(depth).  Cost: O(depth)
+        per size walk plus O(|subtree| + in-degree) per re-homed child;
+        independent of graph size.
 
         Falls back to a synchronous full re-solve when a child cannot be
         re-homed within the budget (mirroring arrival repair), and
@@ -536,55 +521,42 @@ class IngestEngine:
         self._bg_gen += 1  # an in-flight background solve still contains v
         budget = self.current_budget()
         spec = self.spec
+        index = self._index
         for ci in child_slots:
             node_c = self._nodes[ci]
             old_ret = float(tree.ret[ci])
             old_s = old_edge_storage[ci]
-            # max retrieval inside the moving subtree (BMR feasibility:
-            # every member shifts by the same delta)
+            # one walk over the moving subtree: its members (re-homing
+            # under one closes a cycle) and its max retrieval (BMR
+            # feasibility: every member shifts by the same delta)
             sub_max = old_ret
-            stack = [ci]
-            while stack:
-                y = stack.pop()
+            subtree = [ci]
+            for y in subtree:
                 r = float(tree.ret[y])
                 if r > sub_max:
                     sub_max = r
-                stack.extend(tree.children[y])
+                subtree.extend(tree.children[y])
+            members = set(subtree)
             options = [
-                (self._index[u], d.storage, d.retrieval)
+                (index[u], None, d.storage, d.retrieval)
                 for u, d in g.predecessors(node_c).items()
+                if index[u] not in members
             ]
-            options.append((aux, float(g.storage_cost(node_c)), 0.0))
-            best = None
-            best_key = None
-            for p_idx, s, r in options:
-                if p_idx != aux and self._in_subtree(tree, p_idx, ci):
-                    continue  # re-homing under a descendant = a cycle
-                new_ret = 0.0 if p_idx == aux else float(tree.ret[p_idx]) + r
-                feas = spec.attach_feasible(
-                    tree, budget, sub_max + (new_ret - old_ret), s - old_s
-                )
-                if not feas:
-                    continue
-                key = (s, new_ret)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (p_idx, s, r)
+            options.append((aux, None, float(g.storage_cost(node_c)), 0.0))
+            best = self._cheapest(tree, budget, aux, options, old_ret, old_s, sub_max)
             if best is None:
                 # no surviving edge fits the budget: re-solve everything
                 self._resolve_sync()
                 self._sync_store()
                 return
-            p_idx, s, r = best
+            p_idx, _, s, r = best
             eid = cg.edge_id(p_idx, ci)  # tree aux slot == cg.aux
             sz = int(tree.size[ci])
             new_ret = 0.0 if p_idx == aux else float(tree.ret[p_idx]) + r
-            new_max = tree.rehome_subtree(ci, p_idx, eid, s, r, old_s)
+            tree.rehome_subtree(ci, p_idx, eid, s, r, old_s)
             drift = spec.attach_cost(s - old_s, (new_ret - old_ret) * sz)
             if drift > 0.0:
                 self._pending_obj += drift
-            if new_max > self._max_ret:
-                self._max_ret = new_max
         tree.detach_version(vi, par_edge_storage)
         self._max_ret = tree.max_retrieval()
         if self.staleness_bound > self.staleness_threshold:
@@ -594,6 +566,46 @@ class IngestEngine:
     # ------------------------------------------------------------------
     # repair
     # ------------------------------------------------------------------
+    def _cheapest(
+        self,
+        tree,
+        budget: float,
+        aux: int,
+        options: list[tuple[int, int | None, float, float]],
+        old_ret: float = 0.0,
+        old_s: float = 0.0,
+        sub_max: float = 0.0,
+    ) -> tuple[int, int | None, float, float] | None:
+        """The repair rule shared by arrivals and retirements.
+
+        ``options`` are ``(parent slot, edge id, edge storage, edge
+        retrieval)`` in graph order with materialization (parent
+        ``aux``) last.  Returns the budget-feasible option minimizing
+        ``(edge storage, resulting retrieval)``, the first one on ties,
+        or None when none is feasible.  The moving version currently
+        has retrieval ``old_ret`` through an edge of storage ``old_s``
+        and its subtree's largest retrieval is ``sub_max``; every
+        member shifts by the same delta, so feasibility is the spec's
+        :meth:`~repro.core.problemspec.ProblemSpec.attach_feasible` on
+        the shifted maximum and the storage change.  An arrival is a
+        leaf: the zero defaults pass its own retrieval and edge storage
+        unchanged.  Callers drop options that would close a cycle.
+        """
+        ret = tree.ret
+        feasible = self.spec.attach_feasible
+        best = None
+        best_key = None
+        for opt in options:
+            p_idx, _, s, r = opt
+            new_ret = 0.0 if p_idx == aux else float(ret[p_idx]) + r
+            if not feasible(tree, budget, sub_max + (new_ret - old_ret), s - old_s):
+                continue
+            key = (s, new_ret)
+            if best_key is None or key < best_key:
+                best_key = key
+                best = opt
+        return best
+
     def _attach(  # holds: ingest-thread
         self,
         vi: int,
@@ -603,14 +615,10 @@ class IngestEngine:
     ) -> bool:
         """Greedy-attach version index ``vi`` onto the live tree.
 
-        Scans the incoming deltas in arrival order plus the
-        materialization edge last, keeps the budget-feasible candidate
-        minimizing ``(edge storage, resulting retrieval)`` with
-        first-wins ties, and applies the O(depth) incremental attach.
-        Feasibility is the spec's :meth:`~repro.core.problemspec.
-        ProblemSpec.attach_feasible` rule (plan storage after the
-        attach for MSR, the arrival's own resulting retrieval for BMR —
-        the arrival is a leaf, so no other version's retrieval moves).
+        Picks among the incoming deltas in arrival order plus the
+        materialization edge last by :meth:`_cheapest` (plan storage
+        after the attach must fit for MSR, the arrival's own resulting
+        retrieval for BMR) and applies the O(depth) incremental attach.
         Returns False when no candidate fits the budget (caller falls
         back to a full re-solve; for BMR materialization is always
         feasible, so this cannot happen for non-negative budgets).
@@ -625,24 +633,14 @@ class IngestEngine:
         node_storage = float(self.graph.storage_cost(self._nodes[vi]))
         options = list(candidates)
         options.append((aux, self._num_real_edges + vi, node_storage, 0.0))
-        spec = self.spec
-        best = None
-        best_key = None
-        for p_idx, eid, s, r in options:
-            new_ret = 0.0 if p_idx == aux else float(tree.ret[p_idx]) + r
-            if not spec.attach_feasible(tree, budget, new_ret, s):
-                continue
-            key = (s, new_ret)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = (p_idx, eid, s, r)
+        best = self._cheapest(tree, budget, aux, options)
         if best is None:
             return False
         p_idx, eid, s, r = best
         new_v = tree.append_version(p_idx, eid, s, r)
         assert new_v == vi, "arrival order drifted from compiled interning"
         ret_v = float(tree.ret[vi])
-        self._pending_obj += spec.attach_cost(s, ret_v)
+        self._pending_obj += self.spec.attach_cost(s, ret_v)
         if ret_v > self._max_ret:
             self._max_ret = ret_v
         if self._bg is not None and self._bg.busy:

@@ -22,30 +22,33 @@ operations in the same order as ``PlanTree``:
 * :meth:`apply_swap_edge` shifts the moved subtree with one addition
   per node, exactly like ``PlanTree.apply_swap``.
 
-Incremental Euler maintenance
------------------------------
-:meth:`apply_swap_edge` has two implementations.  The *python* path is
-the original one: eager child-list surgery, O(depth) size walks, an
-O(subtree) retrieval walk, and it invalidates the Euler intervals
-(``_order_dirty``).  The BMR-LMG runner applies every move through it,
-since its own bookkeeping is O(subtree + depth) walks too.  The *fresh*
-path runs when the intervals are current and keeps them current: moving
-``v``'s subtree is a contiguous block move inside the preorder (shift
-the nodes between the block and its destination by ``±size(v)``, slide
-the block, rederive ``tout = tin + size - 1``), ancestor size updates
-are two interval-containment masks, and the subtree retrieval shift is
-the existing one-masked-add.  All O(V) vectorized, zero Python walks —
-this is what makes the LMG-All kernel O(V) per round instead of
-"re-DFS the tree per round".  Child lists are rebuilt lazily
-(``_children_dirty``) in index order.  Swaps and Euler tours do not
-depend on child *order* (a DFS preorder from rebuilt lists is a
-different but equally valid Euler tour, and ``materialized_versions``
-callers sort); retirement repair does, since it re-homes a version's
-children in list order, so the greedy kernels hand their trees on with
-index-ordered child lists.  Both paths apply the identical single IEEE
-addition per shifted node, so plans stay bit-identical whichever path
-runs.  Tests replay the greedy kernels' recorded moves through the
-python path as their reference.
+One subtree move, two forms
+---------------------------
+The paper's local move "make ``u`` the parent of ``v``" shifts every
+retrieval cost in ``v``'s subtree by the same amount.  It exists here in
+two forms.  The *walk* form (:meth:`_move`) does O(1) child surgery
+(child sets are insertion-ordered dicts), two O(depth) ancestor size
+walks (:meth:`_add_size`) and an O(subtree) retrieval walk, and
+invalidates the Euler intervals (``_order_dirty``).  Every walk-path
+swap, the BMR-LMG runner's moves and the engine's retirement repair
+(:meth:`rehome_subtree`) apply it.  The *fresh* form
+(:meth:`_apply_swap_fresh`) runs when the intervals are current and
+keeps them current: moving ``v``'s subtree is a contiguous block move
+inside the preorder (shift the nodes between the block and its
+destination by ``±size(v)``, slide the block, rederive ``tout = tin +
+size - 1``), ancestor size updates are two interval-containment masks,
+and the subtree retrieval shift is one masked add.  All O(V)
+vectorized, zero Python walks — this is what makes the LMG-All kernel
+O(V) per round instead of "re-DFS the tree per round".  Child sets are
+rebuilt lazily (``_children_dirty``) in index order.  Swaps and Euler
+tours do not depend on child *order* (a DFS preorder from rebuilt sets
+is a different but equally valid Euler tour, and
+``materialized_versions`` callers sort); retirement repair does, since
+it re-homes a version's children in iteration order, so the greedy
+kernels hand their trees on with index-ordered child sets.  Both forms
+apply the identical single IEEE addition per shifted node, so plans stay
+bit-identical whichever runs.  Tests replay the greedy kernels' recorded
+moves through the walk form as their reference.
 """
 
 from __future__ import annotations
@@ -69,8 +72,9 @@ class ArrayPlanTree:
     * ``par_edge`` — edge id of ``(parent[v], v)`` (-1 for AUX);
     * ``ret`` — retrieval cost ``R(v)`` along the unique AUX path;
     * ``size`` — subtree sizes (the paper's "dependency number");
-    * ``children`` — per-node child lists, rebuilt lazily from
-      ``parent`` after vectorized swaps (``_ensure_children``);
+    * ``children`` — per-node child sets (insertion-ordered
+      ``dict[int, None]``), rebuilt lazily from ``parent`` after
+      vectorized swaps (``_ensure_children``);
     * Euler intervals ``tin``/``tout`` for O(1) ancestor tests,
       maintained incrementally by fresh-path swaps and recomputed
       lazily otherwise.
@@ -106,7 +110,7 @@ class ArrayPlanTree:
     def __init__(self, cg: CompiledGraph, parent_edges: list[tuple[int, int]]):
         """Build from ``(version index, parent edge id)`` pairs.
 
-        The pair order defines the children-list and storage-summation
+        The pair order defines the child-set and storage-summation
         order (see module docstring).  Every version must appear exactly
         once; the referenced edge must end at it.
         """
@@ -117,7 +121,7 @@ class ArrayPlanTree:
         self.par_edge = np.full(n + 1, -1, dtype=idt)
         self.ret = np.zeros(n + 1, dtype=np.float64)
         self.size = np.ones(n + 1, dtype=idt)
-        self.children: list[list[int]] = [[] for _ in range(n + 1)]
+        self.children: list[dict[int, None]] = [{} for _ in range(n + 1)]
         self.total_storage = 0.0
         self.total_retrieval = 0.0
         self._tin = np.zeros(n + 1, dtype=idt)
@@ -143,7 +147,7 @@ class ArrayPlanTree:
             p = int(cg.edge_src[eid])
             self.parent[v] = p
             self.par_edge[v] = eid
-            self.children[p].append(int(v))
+            self.children[p][int(v)] = None
             self.total_storage += float(cg.edge_storage[eid])
             seen += 1
         if seen != n:
@@ -185,21 +189,23 @@ class ArrayPlanTree:
         self._order_dirty = True
 
     def _ensure_children(self) -> None:
-        """Rebuild the per-node child lists from ``parent`` if stale.
+        """Rebuild the per-node child sets from ``parent`` if stale.
 
-        Fresh-path swaps skip child-list surgery (an O(degree)
-        ``list.remove`` per move — AUX holds O(V) children in the BMR
-        all-materialized start tree) and just flip ``_children_dirty``;
-        the lists are rebuilt here in node-index order on the next
-        consumer.  Child order is not load-bearing (module docstring).
+        Fresh-path swaps are fully vectorized and keep no child sets:
+        they just flip ``_children_dirty``, and the sets are rebuilt
+        here in node-index order on the next consumer.  Walk-path
+        moves edit the sets in place — O(1) per insert or delete, so
+        AUX's O(V) children in the BMR all-materialized start tree cost
+        nothing.  Child order matters only to retirement repair
+        (module docstring).
         """
         if not self._children_dirty:
             return
         n1 = len(self.parent)
-        children: list[list[int]] = [[] for _ in range(n1)]
+        children: list[dict[int, None]] = [{} for _ in range(n1)]
         for v, p in enumerate(self.parent.tolist()):
             if p >= 0:
-                children[p].append(v)
+                children[p][v] = None
         self.children = children
         self._children_dirty = False
 
@@ -273,15 +279,15 @@ class ArrayPlanTree:
 
         Identity swaps (``eid`` already is ``v``'s parent edge, e.g.
         :meth:`materialize` on an already-materialized version) return
-        immediately: the full remove/append plus size/retrieval walks
+        immediately: the full child surgery plus size/retrieval walks
         would be a semantic no-op but accumulate float churn in
         ``total_storage`` / ``total_retrieval``.
 
         Dispatches on Euler freshness: with current intervals the move
         is applied fully vectorized *and leaves them current*
-        (:meth:`_apply_swap_fresh`); otherwise the original Python-walk
-        path runs and the intervals stay invalidated.  Both paths
-        perform identical IEEE float updates (module docstring).
+        (:meth:`_apply_swap_fresh`); otherwise the walk form runs and
+        the intervals stay invalidated.  Both forms perform identical
+        IEEE float updates (module docstring).
         """
         cg = self.cg
         u = int(cg.edge_src[eid])
@@ -298,56 +304,54 @@ class ArrayPlanTree:
             self._apply_swap_fresh(eid, u, v)
 
     def _apply_swap_python(self, eid: int, u: int, v: int) -> None:
-        """Original swap path: child surgery + O(depth) walks.
+        """Walk-form swap: :meth:`_move` with costs from the compiled
+        arrays.  Leaves ``_order_dirty`` set."""
+        cg = self.cg
+        ds = float(cg.edge_storage[eid] - cg.edge_storage[self.par_edge[v]])
+        shift = float(self.ret[u] + cg.edge_retrieval[eid] - self.ret[v])
+        self._move(v, u, eid, ds, shift)
 
-        Leaves ``_order_dirty`` set; the batch subtree-retrieval shift
-        still applies when the intervals happen to be fresh (same single
-        IEEE addition per node as the walk).
+    def _add_size(self, x: int, d: int) -> None:
+        """Add ``d`` to the subtree sizes of ``x`` and all its ancestors."""
+        aux = len(self.parent) - 1
+        size = self.size
+        parent = self.parent
+        while True:
+            size[x] += d
+            if x == aux:
+                break
+            x = int(parent[x])
+
+    def _move(self, v: int, u: int, eid: int, ds: float, shift: float) -> None:
+        """The walk form of "make ``u`` the parent of ``v``".
+
+        O(1) child surgery, O(depth) size walks up the old and the new
+        ancestor chain, and an O(|subtree(v)|) walk adding ``shift`` to
+        every retrieval cost once.  ``ds`` is the storage delta of the
+        edge change; the total retrieval moves by ``shift * size(v)``,
+        the same product :meth:`swap_deltas_edge` evaluates.  The
+        caller guarantees ``u`` is not inside ``v``'s subtree.
         """
-        aux = self.cg.aux
         p = int(self.parent[v])
-        ds, dr = self.swap_deltas_edge(eid)
-        shift = float(self.ret[u] + self.cg.edge_retrieval[eid] - self.ret[v])
-
         self._ensure_children()
-        self.children[p].remove(v)
-        self.children[u].append(v)
+        children = self.children
+        del children[p][v]
+        children[u][v] = None
         self.parent[v] = u
         self.par_edge[v] = eid
 
         sz = int(self.size[v])
-        x = p
-        while True:
-            self.size[x] -= sz
-            if x == aux:
-                break
-            x = int(self.parent[x])
-        x = u
-        while True:
-            self.size[x] += sz
-            if x == aux:
-                break
-            x = int(self.parent[x])
-
+        self._add_size(p, -sz)
+        self._add_size(u, sz)
         if shift != 0.0:
-            if not self._order_dirty:
-                # Batch subtree shift: with fresh Euler intervals the
-                # subtree of ``v`` is exactly the nodes whose entry time
-                # falls inside ``v``'s interval, so the whole shift is
-                # one masked array add instead of a per-node Python walk;
-                # each element still receives the identical single IEEE
-                # addition, keeping plans bit-identical.
-                tin = self._tin
-                mask = (tin >= tin[v]) & (tin <= self._tout[v])
-                self.ret[mask] += shift
-            else:
-                stack = [v]
-                while stack:
-                    y = stack.pop()
-                    self.ret[y] += shift
-                    stack.extend(self.children[y])
+            ret = self.ret
+            stack = [v]
+            while stack:
+                y = stack.pop()
+                ret[y] += shift
+                stack.extend(children[y])
         self.total_storage += ds
-        self.total_retrieval += dr
+        self.total_retrieval += shift * sz
         self._order_dirty = True
 
     def _apply_swap_fresh(self, eid: int, u: int, v: int) -> None:
@@ -447,15 +451,10 @@ class ArrayPlanTree:
                 "dependants still attach through it"
             )
         self._ensure_children()
-        self.children[p].remove(v)
+        del self.children[p][v]
         self.total_retrieval -= float(self.ret[v])
         self.total_storage -= float(edge_storage)
-        x = p
-        while True:
-            self.size[x] -= 1
-            if x == aux:
-                break
-            x = int(self.parent[x])
+        self._add_size(p, -1)
         self.parent[v] = -1
         self.par_edge[v] = -1
         self.ret[v] = 0.0
@@ -470,7 +469,7 @@ class ArrayPlanTree:
         edge_storage: float,
         edge_retrieval: float,
         old_edge_storage: float,
-    ) -> float:
+    ) -> None:
         """Re-route ``v`` (subtree and all) under ``new_parent``.
 
         The plan-repair move for retirement: when a retired version's
@@ -478,59 +477,18 @@ class ArrayPlanTree:
         with it.  All edge costs are passed explicitly (the compiled
         arrays may be mid-tombstone); ``par_eid`` is recorded for
         bookkeeping only.  The caller must ensure ``new_parent`` is not
-        inside ``v``'s subtree (an O(depth) parent walk — the Euler
-        intervals may be stale here).
-
-        O(depth) size walks plus an O(|subtree(v)|) retrieval shift
-        walk.  Returns the maximum retrieval cost inside the moved
-        subtree after the move, which is exactly the quantity BMR
-        feasibility checks need.
+        inside ``v``'s subtree (the Euler intervals may be stale here).
+        The move itself is :meth:`_move`.
         """
         aux = len(self.parent) - 1
-        p = int(self.parent[v])
         u = int(new_parent)
-        if p < 0 or not (0 <= v < aux):
+        if not (0 <= v < aux) or self.parent[v] < 0:
             raise GraphError(f"cannot re-home index {v}: not a live version")
         if u == v or not (0 <= u <= aux) or (u != aux and self.parent[u] < 0):
             raise GraphError(f"bad re-home parent index {u}")
+        ds = float(edge_storage) - float(old_edge_storage)
         shift = float(self.ret[u] + edge_retrieval - self.ret[v])
-
-        self._ensure_children()
-        self.children[p].remove(v)
-        self.children[u].append(v)
-        self.parent[v] = u
-        self.par_edge[v] = par_eid
-
-        sz = int(self.size[v])
-        x = p
-        while True:
-            self.size[x] -= sz
-            if x == aux:
-                break
-            x = int(self.parent[x])
-        x = u
-        while True:
-            self.size[x] += sz
-            if x == aux:
-                break
-            x = int(self.parent[x])
-
-        sub_max = -np.inf
-        stack = [v]
-        children = self.children
-        ret = self.ret
-        while stack:
-            y = stack.pop()
-            if shift != 0.0:
-                ret[y] += shift
-            r = float(ret[y])
-            if r > sub_max:
-                sub_max = r
-            stack.extend(children[y])
-        self.total_storage += float(edge_storage) - float(old_edge_storage)
-        self.total_retrieval += shift * sz
-        self._order_dirty = True
-        return sub_max
+        self._move(v, u, par_eid, ds, shift)
 
     # ------------------------------------------------------------------
     # incremental growth (online ingest)
@@ -560,7 +518,7 @@ class ArrayPlanTree:
 
         Amortized O(1) array growth (the six per-node arrays are views
         into capacity-doubling backing buffers), O(#materialized) for
-        the AUX renumber (a fancy-index over AUX's child list instead
+        the AUX renumber (a fancy-index over AUX's child set instead
         of a full-array mask scan), O(depth) for subtree sizes — this
         is what keeps per-arrival ingest latency flat as the graph
         grows.  Returns the new version's index.
@@ -619,7 +577,7 @@ class ArrayPlanTree:
         # AUX moves up one slot: re-parent exactly its children (the
         # materialized versions) instead of mask-scanning every node
         if aux_children:
-            parent[np.asarray(aux_children, dtype=idt)] = new_aux
+            parent[np.fromiter(aux_children, dtype=idt, count=len(aux_children))] = new_aux
         parent[new_aux] = -1
         parent[new_v] = -1
         self.parent = parent
@@ -632,22 +590,17 @@ class ArrayPlanTree:
         size[new_aux] = size[old_aux]
         size[new_v] = 1
         self.size = size
-        self.children.append(aux_children)  # AUX child list moves up
-        self.children[old_aux] = []
+        self.children.append(aux_children)  # AUX child set moves up
+        self.children[old_aux] = {}
 
         p = int(parent_index)
         self.parent[new_v] = p
         self.par_edge[new_v] = par_eid
-        self.children[p].append(new_v)
+        self.children[p][new_v] = None
         self.ret[new_v] = self.ret[p] + edge_retrieval
         self.total_storage += float(edge_storage)
         self.total_retrieval += float(self.ret[new_v])
-        x = p
-        while True:
-            self.size[x] += 1
-            if x == new_aux:
-                break
-            x = int(self.parent[x])
+        self._add_size(p, 1)
         self._order_dirty = True
         return new_v
 
@@ -670,7 +623,7 @@ class ArrayPlanTree:
         if self._children_dirty:
             new.children = []  # rebuilt on demand from the parent array
         else:
-            new.children = [list(c) for c in self.children]
+            new.children = [c.copy() for c in self.children]
         new.total_storage = self.total_storage
         new.total_retrieval = self.total_retrieval
         new._tin = self._tin.copy()

@@ -473,81 +473,67 @@ def mp_array(
 ) -> ArrayPlanTree:
     """Array kernel for Modified Prim's (BMR); plan-identical to dict MP.
 
-    Prim growth is inherently sequential, but each attachment's
-    relaxation sweep over the out-edges is one masked NumPy pass:
-    feasibility filter, lexicographic "(storage, retrieval) strictly
-    better" test and the ``best_*`` updates all happen on candidate
-    arrays, with only the surviving (improving) edges pushed onto the
-    heap one by one in CSR order — the same order the dict reference
-    pushes them, so heap ties resolve identically.  Raises
+    Prim growth is inherently sequential and each attachment relaxes
+    only a node's few out-edges, so the sweep is a scalar loop over
+    ``.tolist()`` mirrors of the CSR arrays with the budget cap hoisted
+    (``within_budget(x, b)`` is exactly ``x <= budget_cap(b)``).  It
+    applies the reference's float ops and comparisons and pushes the
+    improving edges in CSR order — the order the dict reference pushes
+    them, so heap ties resolve identically.  Reads only the compiled
+    arrays (background re-solves run it on a snapshot).  Raises
     ``ValueError`` when the finite retrieval budget is infeasible
     (negative budgets: even materializing everything has max
     retrieval 0).
     """
     cg = _compiled(graph)
     n, aux = cg.n, cg.aux
-    es, er, dst = cg.edge_storage, cg.edge_retrieval, cg.edge_dst
+    es, er, dst = cg.edge_storage.tolist(), cg.edge_retrieval.tolist(), cg.edge_dst.tolist()
+    out_ptr, out_edges = cg.out_indptr.tolist(), cg.out_edges.tolist()
+    cap = budget_cap(retrieval_budget)
 
-    # best known attachment per unattached version: (storage, retrieval, parent)
-    best_s = es[cg.aux_edge]  # fancy indexing copies; mutated below
-    best_r = np.zeros(n, dtype=np.float64)
-    best_p = np.full(n, aux, dtype=np.int64)
-    attached = np.full(n + 1, -1, dtype=np.int64)
+    # best known attachment per unattached version: (storage, retrieval,
+    # parent, edge id)
+    best_e = cg.aux_edge.tolist()
+    best_s = [es[e] for e in best_e]
+    best_r = [0.0] * n
+    best_p = [aux] * n
+    attached = [False] * n
     # heap entries: (storage, retrieval, seq, v, parent) — lazy deletion,
     # initial order sorted by str to match the reference (the cached key
     # array replaces an O(n) re-stringify + sort per solve)
-    init_s = best_s[cg.str_order].tolist()
+    str_order = cg.str_order.tolist()
     heap: list[tuple[float, float, int, int, int]] = [
-        (s, 0.0, seq, v, aux)
-        for seq, (s, v) in enumerate(zip(init_s, cg.str_order.tolist()))
+        (best_s[v], 0.0, seq, v, aux) for seq, v in enumerate(str_order)
     ]
     seq = len(heap)
     heapq.heapify(heap)
+    push, pop = heapq.heappush, heapq.heappop
     attach_order: list[tuple[int, int]] = []
 
     while heap:
-        s, r, _, v, p = heapq.heappop(heap)
-        if (
-            attached[v] != -1
-            or float(best_s[v]) != s
-            or float(best_r[v]) != r
-            or int(best_p[v]) != p
-        ):
+        s, r, _, v, p = pop(heap)
+        if attached[v] or best_s[v] != s or best_r[v] != r or best_p[v] != p:
             continue
-        attached[v] = p
-        attach_order.append((v, p))
-        eids = cg.out_slice(v)
-        if eids.size == 0:
-            continue
-        w = dst[eids]
-        ws = es[eids]
-        nr = r + er[eids]
-        # same float ops and comparisons as the scalar loop; successors
-        # are unique per source, so the masked update cannot self-clash
-        mask = (w != aux) & (attached[w] == -1)
-        mask &= within_budget(nr, retrieval_budget)
-        mask &= (ws < best_s[w]) | ((ws == best_s[w]) & (nr < best_r[w]))
-        if not mask.any():
-            continue
-        idx = np.nonzero(mask)[0]
-        sel_w = w[idx]
-        sel_s = ws[idx]
-        sel_r = nr[idx]
-        best_s[sel_w] = sel_s
-        best_r[sel_w] = sel_r
-        best_p[sel_w] = v
-        # bulk push: one tolist() per array instead of a numpy scalar
-        # conversion per element; push order (CSR order) is unchanged,
-        # so heap ties still resolve identically
-        push = heapq.heappush
-        for s2, r2, w2 in zip(sel_s.tolist(), sel_r.tolist(), sel_w.tolist()):
-            push(heap, (s2, r2, seq, w2, v))
-            seq += 1
+        attached[v] = True
+        attach_order.append((v, best_e[v]))
+        for e in out_edges[out_ptr[v] : out_ptr[v + 1]]:
+            w = dst[e]
+            if w == aux or attached[w]:
+                continue
+            nr = r + er[e]
+            if not nr <= cap:
+                continue
+            ws = es[e]
+            if ws < best_s[w] or (ws == best_s[w] and nr < best_r[w]):
+                best_s[w] = ws
+                best_r[w] = nr
+                best_p[w] = v
+                best_e[w] = e
+                push(heap, (ws, nr, seq, w, v))
+                seq += 1
 
     assert len(attach_order) == n, "materialization keeps MP feasible"
-    tree = ArrayPlanTree(
-        cg, [(v, int(cg.edge_id(p, v))) for v, p in attach_order]
-    )
+    tree = ArrayPlanTree(cg, attach_order)
     if math.isfinite(retrieval_budget) and not within_budget(
         tree.max_retrieval(), retrieval_budget
     ):
@@ -718,9 +704,9 @@ def _bmr_run(
             stamp[e] += 1
             admit(e)
     if applied:
-        # the walk path left child lists in move order; hand them on in
+        # the walk path left child sets in move order; hand them on in
         # index order, as every vectorized swap does (retirement repair
-        # re-homes children in list order)
+        # re-homes children in iteration order)
         tree._children_dirty = True
     return applied
 

@@ -10,7 +10,8 @@ own vectorized code, so the replay must reach *bit-identical* state
 (``parent``, ``par_edge``, ``size``, ``ret`` and both float totals).
 
 Also covered here: the fresh-path (vectorized, Euler-maintaining) swap
-application agreeing with the python-walk path on arbitrary admissible
+application agreeing with the python-walk path, and with retirement
+repair's explicit-cost :meth:`rehome_subtree`, on arbitrary admissible
 move sequences.
 """
 
@@ -185,6 +186,34 @@ class TestSwapPathEquivalence:
             assert not fresh._order_dirty  # stayed on the fresh path
         assert_bit_identical(fresh, walk)
         fresh.check_invariants()
+
+    def test_rehome_subtree_agrees_with_edge_swaps(self):
+        # retirement repair's explicit-cost move is the same move
+        graph = random_digraph(80, extra_edge_prob=0.25, seed=23)
+        cg = graph.compile()
+        rng = np.random.default_rng(6)
+        by_edge = _materialized_array_tree(cg)
+        rehomed = _materialized_array_tree(cg)
+        moves = 0
+        for _ in range(60):
+            eid = self.admissible_edges(by_edge, rng)
+            if eid is None:
+                break
+            u, v = int(cg.edge_src[eid]), int(cg.edge_dst[eid])
+            old_s = float(cg.edge_storage[rehomed.par_edge[v]])
+            rehomed.rehome_subtree(
+                v,
+                u,
+                eid,
+                float(cg.edge_storage[eid]),
+                float(cg.edge_retrieval[eid]),
+                old_s,
+            )
+            by_edge.apply_swap_edge(eid)
+            moves += 1
+        assert moves > 20
+        assert_bit_identical(by_edge, rehomed)
+        rehomed.check_invariants()
 
     def test_fresh_euler_is_a_valid_preorder(self):
         graph = random_digraph(60, extra_edge_prob=0.3, seed=8)

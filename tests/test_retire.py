@@ -289,6 +289,123 @@ class TestRetireEdgeCases:
 
 
 # ----------------------------------------------------------------------
+# the repair rule, by hand: arrivals and retirements choose alike
+# ----------------------------------------------------------------------
+def repair_engine(problem="msr", budget=1e9):
+    """``a`` and ``b`` materialized, no re-solve after the first."""
+    eng = IngestEngine(problem=problem, budget=budget, staleness_threshold=float("inf"))
+    eng.ingest_version("a", 100.0)
+    eng.ingest_version("b", 100.0)
+    return eng
+
+
+def parent_of(eng, v):
+    return eng.tree.parent_map()[v]
+
+
+def retire_orphaning_c(eng, storage, deltas):
+    """Hang ``c`` under ``x`` through a cheap edge, then retire ``x``.
+
+    ``deltas`` are ``c``'s surviving in-edges; only ``x -> c`` beats
+    them, so the repair must choose among exactly these options.
+    """
+    eng.ingest_version("x", 100.0, [("a", "x", 1.0, 1.0)])
+    eng.ingest_version("c", storage, [("x", "c", 0.5, 0.5), *deltas])
+    assert parent_of(eng, "c") == "x"
+    eng.retire_version("x")
+    check_engine_coherence(eng)
+    return parent_of(eng, "c")
+
+
+class TestRepairRule:
+    STORAGE_TIE = [("a", "c", 5.0, 10.0), ("b", "c", 5.0, 3.0)]
+
+    def test_arrival_storage_tie_takes_lower_retrieval(self):
+        eng = repair_engine()
+        eng.ingest_version("c", 100.0, self.STORAGE_TIE)
+        assert parent_of(eng, "c") == "b"
+
+    def test_retirement_storage_tie_takes_lower_retrieval(self):
+        assert retire_orphaning_c(repair_engine(), 100.0, self.STORAGE_TIE) == "b"
+
+    @pytest.mark.parametrize("first", ["a", "b"])
+    def test_arrival_full_tie_keeps_first_predecessor(self, first):
+        second = "b" if first == "a" else "a"
+        eng = repair_engine()
+        eng.ingest_version(
+            "c", 100.0, [(first, "c", 5.0, 3.0), (second, "c", 5.0, 3.0)]
+        )
+        assert parent_of(eng, "c") == first
+
+    @pytest.mark.parametrize("first", ["a", "b"])
+    def test_retirement_full_tie_keeps_first_predecessor(self, first):
+        second = "b" if first == "a" else "a"
+        deltas = [(first, "c", 5.0, 3.0), (second, "c", 5.0, 3.0)]
+        assert retire_orphaning_c(repair_engine(), 100.0, deltas) == first
+
+    # (node storage, in-edge storage, in-edge retrieval) -> winner: a
+    # materialized parent gives the delta retrieval 0 + r, so only a
+    # strictly smaller (storage, retrieval) key lets materialization win
+    MATERIALIZE_CASES = [
+        (5.0, 5.0, 0.0, "a"),  # full tie: the delta comes first
+        (5.0, 6.0, 0.0, AUX),  # strictly less storage
+        (5.0, 5.0, 1.0, AUX),  # storage tie, strictly less retrieval
+        (6.0, 5.0, 9.0, "a"),  # the delta stores less
+    ]
+
+    @pytest.mark.parametrize("node_s,edge_s,edge_r,winner", MATERIALIZE_CASES)
+    def test_arrival_materializes_only_when_strictly_cheaper(
+        self, node_s, edge_s, edge_r, winner
+    ):
+        eng = repair_engine()
+        eng.ingest_version("c", node_s, [("a", "c", edge_s, edge_r)])
+        assert parent_of(eng, "c") == winner
+
+    @pytest.mark.parametrize("node_s,edge_s,edge_r,winner", MATERIALIZE_CASES)
+    def test_retirement_materializes_only_when_strictly_cheaper(
+        self, node_s, edge_s, edge_r, winner
+    ):
+        deltas = [("a", "c", edge_s, edge_r)]
+        assert retire_orphaning_c(repair_engine(), node_s, deltas) == winner
+
+    def test_retirement_never_rehomes_under_own_subtree(self):
+        # d hangs below c and offers c the cheapest surviving in-edge:
+        # taking it would close the cycle c -> d -> c
+        eng = repair_engine()
+        eng.ingest_version("x", 100.0, [("a", "x", 1.0, 1.0)])
+        eng.ingest_version("c", 100.0, [("x", "c", 0.5, 0.5), ("a", "c", 5.0, 5.0)])
+        eng.ingest_version("d", 100.0, [("c", "d", 0.5, 0.5), ("d", "c", 0.1, 0.1)])
+        assert parent_of(eng, "d") == "c"
+        eng.retire_version("x")
+        check_engine_coherence(eng)
+        assert parent_of(eng, "c") == "a"
+        assert parent_of(eng, "d") == "c"
+
+    def test_bmr_arrival_rejects_parent_over_budget(self):
+        eng = repair_engine("bmr", budget=10.0)
+        eng.ingest_version("c", 100.0, [("a", "c", 1.0, 11.0), ("b", "c", 2.0, 10.0)])
+        assert parent_of(eng, "c") == "b"
+
+    def test_bmr_retirement_checks_deepest_descendant(self):
+        # ret: x = 2, c = 4, d = 9 under a max-retrieval budget of 10.
+        # Orphaned c could hang under b (storage 2) at retrieval 6 <= 10,
+        # but that shifts d to 11: the repair must pay for a -> c instead
+        eng = repair_engine("bmr", budget=10.0)
+        eng.ingest_version("x", 100.0, [("a", "x", 1.0, 2.0)])
+        eng.ingest_version(
+            "c",
+            100.0,
+            [("x", "c", 1.0, 2.0), ("b", "c", 2.0, 6.0), ("a", "c", 3.0, 1.0)],
+        )
+        eng.ingest_version("d", 100.0, [("c", "d", 1.0, 5.0)])
+        assert eng.tree.retrieval_summary().maximum == 9.0
+        eng.retire_version("x")
+        check_engine_coherence(eng)
+        assert parent_of(eng, "c") == "a"
+        assert eng.tree.retrieval_summary().per_version["d"] == 6.0
+
+
+# ----------------------------------------------------------------------
 # lifecycle
 # ----------------------------------------------------------------------
 def resolver_threads():

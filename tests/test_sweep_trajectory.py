@@ -229,7 +229,7 @@ class TestIdentitySwap:
         assert tree.total_storage == before_storage  # exact, no float churn
         assert tree.total_retrieval == before_retrieval
         assert np.array_equal(tree.ret, before_ret)
-        assert tree.children == before_children
+        assert [list(c) for c in tree.children] == before_children
         tree.check_invariants()
 
     @pytest.mark.parametrize("seed", range(5))
