@@ -44,7 +44,8 @@ from repro.engine import IngestEngine
 from repro.fastgraph import bmr_lmg_array, mp_local_array
 from repro.fastgraph.compiled import CompiledGraph
 from repro.gen.presets import PRESETS
-from repro.vcs import random_repository, snapshot_delta_bytes_pair
+from repro.vcs import random_repository
+from repro.vcs.build import commit_deltas
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUT = REPO_ROOT / "BENCH_bmr.json"
@@ -112,17 +113,7 @@ def bench_kernels(nodes: int) -> list[dict]:
 # ----------------------------------------------------------------------
 def prediff(repo) -> list[list[tuple]]:
     """Per-commit engine-format delta lists (diff cost paid once)."""
-    out = []
-    for c in repo.commits:
-        deltas = []
-        for p in c.parents:
-            fwd, bwd = snapshot_delta_bytes_pair(
-                repo.commits[p].snapshot, c.snapshot
-            )
-            deltas.append((p, c.id, float(fwd), float(fwd)))
-            deltas.append((c.id, p, float(bwd), float(bwd)))
-        out.append(deltas)
-    return out
+    return [commit_deltas(repo, c) for c in repo.commits]
 
 
 def bench_engine(nodes: int, baseline_every: int) -> dict:

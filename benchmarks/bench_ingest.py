@@ -39,7 +39,8 @@ from repro.core.graph import VersionGraph
 from repro.engine import IngestEngine
 from repro.fastgraph import lmg_array
 from repro.fastgraph.compiled import CompiledGraph
-from repro.vcs import random_repository, snapshot_delta_bytes_pair
+from repro.vcs import random_repository
+from repro.vcs.build import commit_deltas
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_OUT = REPO_ROOT / "BENCH_ingest.json"
@@ -71,17 +72,7 @@ COMPARED_ARRAYS = (
 
 def prediff(repo) -> list[list[tuple]]:
     """Per-commit engine-format delta lists (diff cost paid once)."""
-    out = []
-    for c in repo.commits:
-        deltas = []
-        for p in c.parents:
-            fwd, bwd = snapshot_delta_bytes_pair(
-                repo.commits[p].snapshot, c.snapshot
-            )
-            deltas.append((p, c.id, float(fwd), float(fwd)))
-            deltas.append((c.id, p, float(bwd), float(bwd)))
-        out.append(deltas)
-    return out
+    return [commit_deltas(repo, c) for c in repo.commits]
 
 
 def build_batch_graph(repo, deltas_by_commit) -> VersionGraph:

@@ -255,7 +255,7 @@ def _run_sharded_ingest(args, repo, budget, budget_factor) -> int:
     stitch produces the globally feasible plan the payload reports.
     """
     from .engine import ShardRouter
-    from .vcs.build import snapshot_delta_bytes_pair
+    from .vcs.build import commit_deltas
 
     try:
         router = ShardRouter(
@@ -278,15 +278,8 @@ def _run_sharded_ingest(args, repo, budget, budget_factor) -> int:
     try:
         with router:
             for commit in repo.commits:
-                deltas = []
-                for p in commit.parents:
-                    fwd, bwd = snapshot_delta_bytes_pair(
-                        repo.commits[p].snapshot, commit.snapshot
-                    )
-                    deltas.append((p, commit.id, float(fwd), float(fwd)))
-                    deltas.append((commit.id, p, float(bwd), float(bwd)))
                 stats = router.ingest_version(
-                    commit.id, float(commit.total_bytes()), deltas
+                    commit.id, float(commit.total_bytes()), commit_deltas(repo, commit)
                 )
                 total_seconds += stats.seconds
                 if commit.id % every == 0 or commit.id == repo.num_commits - 1:

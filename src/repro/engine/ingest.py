@@ -425,27 +425,16 @@ class IngestEngine:
     def ingest_commit(self, repo, commit) -> ArrivalStats:
         """Ingest one :class:`~repro.vcs.repo.RepoCommit` from ``repo``.
 
-        Diffs the commit against its parents **only** (both directions
-        from a single Myers trace per file —
-        :func:`repro.vcs.build.snapshot_delta_bytes_pair`), matching the
-        batch :func:`~repro.vcs.build.build_graph_from_repo` costs.
+        Diffs the commit against its parents **only**, through the
+        batch builder's own rule (:func:`repro.vcs.build.commit_deltas`),
+        so costs and edge order match
+        :func:`~repro.vcs.build.build_graph_from_repo`.
         """
-        from ..vcs.build import snapshot_delta_bytes_pair
+        from ..vcs.build import commit_deltas
 
-        ratio = self.retrieval_ratio
-        c = commit.id
-        deltas = []
-        for p in commit.parents:
-            fwd, bwd = snapshot_delta_bytes_pair(
-                repo.commits[p].snapshot, commit.snapshot
-            )
-            # (p -> c) then (c -> p), per parent — the exact insertion
-            # order of the batch builder, keeping compiled graphs (and
-            # hence solver tie-breaking) byte-identical
-            deltas.append((p, c, float(fwd), float(fwd) * ratio))
-            deltas.append((c, p, float(bwd), float(bwd) * ratio))
+        deltas = commit_deltas(repo, commit, self.retrieval_ratio)
         self._store_repo = repo
-        stats = self.ingest_version(c, float(commit.total_bytes()), deltas)
+        stats = self.ingest_version(commit.id, float(commit.total_bytes()), deltas)
         if self._store is not None:
             self._sync_store()
         return stats
@@ -526,16 +515,11 @@ class IngestEngine:
             node_c = self._nodes[ci]
             old_ret = float(tree.ret[ci])
             old_s = old_edge_storage[ci]
-            # one walk over the moving subtree: its members (re-homing
-            # under one closes a cycle) and its max retrieval (BMR
-            # feasibility: every member shifts by the same delta)
-            sub_max = old_ret
-            subtree = [ci]
-            for y in subtree:
-                r = float(tree.ret[y])
-                if r > sub_max:
-                    sub_max = r
-                subtree.extend(tree.children[y])
+            # the moving subtree: its members (re-homing under one closes
+            # a cycle) and its max retrieval (BMR feasibility: every
+            # member shifts by the same delta)
+            subtree = tree.subtree(ci)
+            sub_max = float(tree.ret[subtree].max())
             members = set(subtree)
             options = [
                 (index[u], None, d.storage, d.retrieval)

@@ -66,6 +66,8 @@ way, so plans are unaffected.
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 
 from ..core.graph import AUX, GraphError, GraphMutation, Node, VersionGraph
@@ -181,6 +183,11 @@ class CompiledGraph:
         *,
         index_dtype: np.dtype | type | None = None,
     ) -> None:
+        """Compile ``graph``; construction is the append path.
+
+        Every version and real delta is queued as a pending append and
+        the first :meth:`refresh` folds them in from empty arrays.
+        """
         ext = graph if graph.has_aux else graph.extended()
         self.graph = ext
         self.name = ext.name
@@ -195,14 +202,15 @@ class CompiledGraph:
         self.index: dict[Node, int] = {v: i for i, v in enumerate(self.nodes)}
         self.index[AUX] = n
 
-        self._node_store = np.array(
-            [ext.storage_cost(v) for v in self.nodes], dtype=np.float64
-        )
-
         # real deltas in insertion order; ``extended()`` appends the AUX
         # edges after them, so this is the canonical edge-id layout
-        real = [(u, v, d) for u, v, d in ext.deltas() if u is not AUX]
-        m = len(real)
+        self._pend_nodes: list[float] = [ext.storage_cost(v) for v in self.nodes]
+        self._pend_edges: list[tuple[int, int, float, float]] = [
+            (self.index[u], self.index[v], d.storage, d.retrieval)
+            for u, v, d in ext.deltas()
+            if u is not AUX
+        ]
+        m = len(self._pend_edges)
         self._m_real = m
         if index_dtype is None:
             idt = _auto_index_dtype(n, m + n)
@@ -214,32 +222,17 @@ class CompiledGraph:
         # (start-tree pairs, Edmonds rounds), filled lazily by
         # ``arborescence.min_storage_parent_edges``; refresh() clears it
         self._start: tuple[tuple[tuple[int, int], ...], int] | None = None
-        src = np.empty(m, dtype=idt)
-        dst = np.empty(m, dtype=idt)
-        es = np.empty(m, dtype=np.float64)
-        er = np.empty(m, dtype=np.float64)
-        edge_index: dict[tuple[int, int], int] = {}
-        for eid, (u, v, d) in enumerate(real):
-            ui = self.index[u]
-            vi = self.index[v]
-            src[eid] = ui
-            dst[eid] = vi
-            es[eid] = d.storage
-            er[eid] = d.retrieval
-            edge_index[(ui, vi)] = eid
-        self._r_src = src
-        self._r_dst = dst
-        self._r_es = es
-        self._r_er = er
-        self._edge_index = edge_index
-
-        self._pend_nodes: list[float] = []
-        self._pend_edges: list[tuple[int, int, float, float]] = []
+        self._node_store = np.empty(0, dtype=np.float64)
+        self._r_src = np.empty(0, dtype=idt)
+        self._r_dst = np.empty(0, dtype=idt)
+        self._r_es = np.empty(0, dtype=np.float64)
+        self._r_er = np.empty(0, dtype=np.float64)
         self._dead_nodes: set[int] = set()
         self._dead_edges: set[int] = set()
         self.num_edges = m + n
         self._stale = True
         self.refresh()
+        self._rebuild_edge_index()
 
     # ------------------------------------------------------------------
     # incremental appends
@@ -320,8 +313,8 @@ class CompiledGraph:
 
         Amortized O(V + E) *vectorized* work (array concatenation, mask
         compaction when detaches are pending, plus a stable argsort per
-        CSR direction), against the O(V + E) interpreter loops of a
-        from-scratch compile.  No-op when nothing is pending.  The
+        CSR direction); a from-scratch compile is this same fold from
+        empty arrays.  No-op when nothing is pending.  The
         rebuilt arrays are fresh objects — previously returned arrays
         (e.g. held by a :meth:`snapshot`) are never mutated in place.
 
@@ -406,10 +399,10 @@ class CompiledGraph:
         return self
 
     def _rebuild_edge_index(self) -> None:
-        """Renumber ``(src, dst) -> eid`` after a compaction pass.
+        """Rebuild ``(src, dst) -> eid`` from the real-edge arrays.
 
-        O(m) interpreter work, paid only when detaches were pending —
-        the same cost a fresh compile's interning loop pays.
+        O(m) interpreter work, paid at construction and after a
+        compaction pass (appends assign their ids eagerly).
         """
         self._edge_index = {
             (int(u), int(v)): eid
@@ -430,43 +423,15 @@ class CompiledGraph:
         consumers must not race an ingesting writer.
         """
         self.refresh()
-        new = object.__new__(CompiledGraph)
-        new.graph = self.graph
-        new.name = self.name
+        new = copy.copy(self)
         new.nodes = list(self.nodes)
         new.index = dict(self.index)
-        new.n = self.n
-        new.aux = self.aux
-        new.num_edges = self.num_edges
-        for attr in (
-            "node_storage",
-            "edge_src",
-            "edge_dst",
-            "edge_storage",
-            "edge_retrieval",
-            "aux_edge",
-            "out_indptr",
-            "out_edges",
-            "in_indptr",
-            "in_edges",
-            "_r_src",
-            "_r_dst",
-            "_r_es",
-            "_r_er",
-            "_node_store",
-        ):
-            setattr(new, attr, getattr(self, attr))
         new._edge_index = dict(self._edge_index)
-        new._m_real = self._m_real
-        new.index_dtype = self.index_dtype
-        new._str_order = self._str_order
-        new._start = self._start  # immutable, and the arrays are shared
         new._pend_nodes = []
         new._pend_edges = []
         new._dead_nodes = set()
         new._dead_edges = set()
         new._owns_graph = False
-        new._stale = False
         return new
 
     # ------------------------------------------------------------------

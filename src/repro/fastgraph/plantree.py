@@ -18,7 +18,8 @@ operations in the same order as ``PlanTree``:
   iteration order as ``PlanTree``'s ``parent.items()`` loop, so the
   Python-float storage accumulator matches bit for bit;
 * retrieval costs are path sums ``ret[parent] + r_e`` assigned in the
-  identical root-first DFS order;
+  identical root-first DFS order (:meth:`ArrayPlanTree.subtree` from
+  AUX, the one subtree walk every method here shares);
 * :meth:`apply_swap_edge` shifts the moved subtree with one addition
   per node, exactly like ``PlanTree.apply_swap``.
 
@@ -28,10 +29,10 @@ The paper's local move "make ``u`` the parent of ``v``" shifts every
 retrieval cost in ``v``'s subtree by the same amount.  It exists here in
 two forms.  The *walk* form (:meth:`_move`) does O(1) child surgery
 (child sets are insertion-ordered dicts), two O(depth) ancestor size
-walks (:meth:`_add_size`) and an O(subtree) retrieval walk, and
-invalidates the Euler intervals (``_order_dirty``).  Every walk-path
-swap, the BMR-LMG runner's moves and the engine's retirement repair
-(:meth:`rehome_subtree`) apply it.  The *fresh* form
+walks (the new chain's also rejects cycles) and an O(subtree) retrieval
+walk, and invalidates the Euler intervals (``_order_dirty``).  Every
+walk-path swap, the BMR-LMG runner's moves and the engine's retirement
+repair (:meth:`rehome_subtree`) apply it.  The *fresh* form
 (:meth:`_apply_swap_fresh`) runs when the intervals are current and
 keeps them current: moving ``v``'s subtree is a contiguous block move
 inside the preorder (shift the nodes between the block and its
@@ -52,6 +53,8 @@ moves through the walk form as their reference.
 """
 
 from __future__ import annotations
+
+import copy
 
 import numpy as np
 
@@ -103,8 +106,6 @@ class ArrayPlanTree:
         "_par_edge_buf",
         "_ret_buf",
         "_size_buf",
-        "_tin_buf",
-        "_tout_buf",
     )
 
     def __init__(self, cg: CompiledGraph, parent_edges: list[tuple[int, int]]):
@@ -131,14 +132,12 @@ class ArrayPlanTree:
         self._children_dirty = False
         self._iota: np.ndarray | None = None
         # guarded-by: tree-owner — amortized-growth backing buffers for
-        # the six per-node arrays (see append_version); 0 = not buffered
+        # the four per-node arrays (see append_version); 0 = not buffered
         self._cap = 0
         self._parent_buf: np.ndarray | None = None
         self._par_edge_buf: np.ndarray | None = None
         self._ret_buf: np.ndarray | None = None
         self._size_buf: np.ndarray | None = None
-        self._tin_buf: np.ndarray | None = None
-        self._tout_buf: np.ndarray | None = None
 
         seen = 0
         for v, eid in parent_edges:
@@ -169,13 +168,7 @@ class ArrayPlanTree:
         """Recompute R, subtree sizes and total retrieval in O(V)."""
         aux = self.cg.aux
         er = self.cg.edge_retrieval
-        # same stack DFS as PlanTree._topo_order (root-first)
-        order: list[int] = []
-        stack = [aux]
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            stack.extend(self.children[x])
+        order = self.subtree(aux)  # same DFS as PlanTree._topo_order
         if len(order) != self.cg.n + 1:
             raise GraphError("parent map contains a cycle")
         self.total_retrieval = 0.0
@@ -187,6 +180,27 @@ class ArrayPlanTree:
         for v in reversed(order[1:]):
             self.size[self.parent[v]] += self.size[v]
         self._order_dirty = True
+
+    def subtree(self, v: int) -> list[int]:
+        """``v`` and its descendants in root-first stack-DFS preorder.
+
+        The walk order of ``PlanTree._topo_order``, which every cached
+        retrieval sum here follows.
+        """
+        self._ensure_children()
+        children = self.children
+        order: list[int] = []
+        append = order.append
+        stack = [v]
+        pop = stack.pop
+        extend = stack.extend
+        while stack:
+            x = pop()
+            append(x)
+            c = children[x]
+            if c:
+                extend(c)
+        return order
 
     def _ensure_children(self) -> None:
         """Rebuild the per-node child sets from ``parent`` if stale.
@@ -228,21 +242,9 @@ class ArrayPlanTree:
         preorder itself is kept on :attr:`_preorder`: the fresh swap
         path slides blocks of it, and LMG snapshots it.
         """
-        self._ensure_children()
-        order_list: list[int] = []
-        append = order_list.append
-        stack = [self.cg.aux]
-        pop = stack.pop
-        extend = stack.extend
-        children = self.children
-        while stack:
-            x = pop()
-            append(x)
-            c = children[x]
-            if c:
-                extend(c)
         idt = self.parent.dtype
-        order = np.array(order_list, dtype=idt)
+        # the tree's own AUX slot: appends may run ahead of the compiled graph
+        order = np.array(self.subtree(len(self.parent) - 1), dtype=idt)
         # detached (dead) rows are unreachable from AUX: their positions
         # stay -1, which every interval-containment mask excludes
         pos = np.full(len(self.parent), -1, dtype=idt)
@@ -329,27 +331,37 @@ class ArrayPlanTree:
         ancestor chain, and an O(|subtree(v)|) walk adding ``shift`` to
         every retrieval cost once.  ``ds`` is the storage delta of the
         edge change; the total retrieval moves by ``shift * size(v)``,
-        the same product :meth:`swap_deltas_edge` evaluates.  The
-        caller guarantees ``u`` is not inside ``v``'s subtree.
+        the same product :meth:`swap_deltas_edge` evaluates.  Raises
+        :class:`GraphError`, before any state changes, when ``u`` lies
+        inside ``v``'s subtree: the new chain's size walk meets ``v``.
         """
-        p = int(self.parent[v])
+        parent = self.parent
+        aux = len(parent) - 1
+        chain = []  # u's ancestors; meeting v means u is in v's subtree
+        x = u
+        while x != aux:
+            if x == v:
+                raise GraphError(f"move would create a cycle: {u} is in subtree({v})")
+            chain.append(x)
+            x = int(parent[x])
+        chain.append(aux)
+        p = int(parent[v])
         self._ensure_children()
         children = self.children
         del children[p][v]
         children[u][v] = None
-        self.parent[v] = u
+        parent[v] = u
         self.par_edge[v] = eid
 
-        sz = int(self.size[v])
+        size = self.size
+        sz = int(size[v])
         self._add_size(p, -sz)
-        self._add_size(u, sz)
+        for x in chain:
+            size[x] += sz
         if shift != 0.0:
             ret = self.ret
-            stack = [v]
-            while stack:
-                y = stack.pop()
+            for y in self.subtree(v):
                 ret[y] += shift
-                stack.extend(children[y])
         self.total_storage += ds
         self.total_retrieval += shift * sz
         self._order_dirty = True
@@ -476,9 +488,9 @@ class ArrayPlanTree:
         tree child must find a new parent, the whole child subtree moves
         with it.  All edge costs are passed explicitly (the compiled
         arrays may be mid-tombstone); ``par_eid`` is recorded for
-        bookkeeping only.  The caller must ensure ``new_parent`` is not
-        inside ``v``'s subtree (the Euler intervals may be stale here).
-        The move itself is :meth:`_move`.
+        bookkeeping only.  The move itself is :meth:`_move`, which
+        raises :class:`GraphError` when ``new_parent`` lies inside
+        ``v``'s subtree.
         """
         aux = len(self.parent) - 1
         u = int(new_parent)
@@ -516,7 +528,7 @@ class ArrayPlanTree:
         reads the (possibly snapshotted or mid-append) compiled arrays;
         ``par_eid`` is recorded for bookkeeping only.
 
-        Amortized O(1) array growth (the six per-node arrays are views
+        Amortized O(1) array growth (the four per-node arrays are views
         into capacity-doubling backing buffers), O(#materialized) for
         the AUX renumber (a fancy-index over AUX's child set instead
         of a full-array mask scan), O(depth) for subtree sizes — this
@@ -535,15 +547,12 @@ class ArrayPlanTree:
         if max(new_aux, par_eid) > np.iinfo(idt).max:
             # the graph outgrew this tree's index dtype (mirrors
             # CompiledGraph.refresh's in-place upgrade); the narrow
-            # backing buffers are dropped and re-allocated below
+            # backing buffers are dropped and re-allocated below.  The
+            # Euler intervals are rebuilt at the new dtype on next use.
             idt = np.dtype(np.int64)
             self.parent = self.parent.astype(idt)
             self.par_edge = self.par_edge.astype(idt)
             self.size = self.size.astype(idt)
-            self._tin = self._tin.astype(idt)
-            self._tout = self._tout.astype(idt)
-            self._preorder = self._preorder.astype(idt)
-            self._iota = None
             self._cap = 0
 
         self._ensure_children()  # before growth: built from the old parent
@@ -552,18 +561,11 @@ class ArrayPlanTree:
         new_len = old_len + 1
         if self._cap < new_len:
             cap = max(2 * old_len, new_len, 8)
-            for name in (
-                "parent",
-                "par_edge",
-                "ret",
-                "size",
-                "_tin",
-                "_tout",
-            ):
+            for name in ("parent", "par_edge", "ret", "size"):
                 cur = getattr(self, name)
                 buf = np.empty(cap, dtype=cur.dtype)
                 buf[:old_len] = cur
-                setattr(self, ("" if name[0] == "_" else "_") + name + "_buf", buf)
+                setattr(self, f"_{name}_buf", buf)
             self._cap = cap
         # the public arrays are always views of the buffers once capped,
         # so extending a view preserves all previously written slots
@@ -571,8 +573,6 @@ class ArrayPlanTree:
         par_edge = self._par_edge_buf[:new_len]
         ret = self._ret_buf[:new_len]
         size = self._size_buf[:new_len]
-        self._tin = self._tin_buf[:new_len]
-        self._tout = self._tout_buf[:new_len]
 
         # AUX moves up one slot: re-parent exactly its children (the
         # materialized versions) instead of mask-scanning every node
@@ -614,31 +614,18 @@ class ArrayPlanTree:
         greedy run exactly where the original stood — the trajectory
         sweep forks one at each budget divergence point.
         """
-        new = object.__new__(ArrayPlanTree)
-        new.cg = self.cg
+        new = copy.copy(self)
         new.parent = self.parent.copy()
         new.par_edge = self.par_edge.copy()
         new.ret = self.ret.copy()
         new.size = self.size.copy()
-        if self._children_dirty:
-            new.children = []  # rebuilt on demand from the parent array
-        else:
-            new.children = [c.copy() for c in self.children]
-        new.total_storage = self.total_storage
-        new.total_retrieval = self.total_retrieval
+        # stale child sets are rebuilt on demand from the parent array
+        new.children = [] if self._children_dirty else [c.copy() for c in self.children]
         new._tin = self._tin.copy()
         new._tout = self._tout.copy()
         new._preorder = self._preorder.copy()
-        new._order_dirty = self._order_dirty
-        new._children_dirty = self._children_dirty
-        new._iota = self._iota  # read-only scatter index, safe to share
         new._cap = 0  # clones re-buffer lazily on their first append
-        new._parent_buf = None
-        new._par_edge_buf = None
-        new._ret_buf = None
-        new._size_buf = None
-        new._tin_buf = None
-        new._tout_buf = None
+        new._parent_buf = new._par_edge_buf = new._ret_buf = new._size_buf = None
         return new
 
     # ------------------------------------------------------------------

@@ -596,16 +596,13 @@ def _bmr_run(
     es, er = cg.edge_storage.tolist(), cg.edge_retrieval.tolist()
     in_ptr, in_edges = cg.in_indptr.tolist(), cg.in_edges.tolist()
     out_ptr, out_edges = cg.out_indptr.tolist(), cg.out_edges.tolist()
-    tree._ensure_children()
-    children = tree.children
     parent = tree.parent.tolist()
     par_edge = tree.par_edge.tolist()
     ret = tree.ret.tolist()
-    # subtree maxima: one reverse pass over a BFS order (the list grows
-    # while it is walked); max only selects, so each is an exact ret
-    order = [aux]
-    for x in order:
-        order.extend(children[x])
+    # subtree maxima: one reverse pass over a preorder; max only
+    # selects, so each is an exact ret
+    order = tree.subtree(aux)
+    children = tree.children
     submax = ret[:]
     for x in reversed(order[1:]):
         p = parent[x]
@@ -666,9 +663,7 @@ def _bmr_run(
         par_edge[v] = pick
         if record is not None:
             record.append((pick, submax[v] + shift, tree.total_storage))
-        sub = [v]
-        for x in sub:
-            sub.extend(children[x])
+        sub = tree.subtree(v)
         if shift != 0.0:
             for x in sub:
                 ret[x] = float(tree_ret[x])

@@ -31,12 +31,13 @@ example for the ambiguous case.
 from __future__ import annotations
 
 from .delta import OP_HEADER_BYTES, compute_delta, insert_payload_bytes
-from .repo import Repository, Snapshot
+from .repo import RepoCommit, Repository, Snapshot
 from ..core.graph import VersionGraph
 
 __all__ = [
     "snapshot_delta_bytes",
     "snapshot_delta_bytes_pair",
+    "commit_deltas",
     "build_graph_from_repo",
 ]
 
@@ -105,6 +106,24 @@ def snapshot_delta_bytes_pair(a: Snapshot, b: Snapshot) -> tuple[int, int]:
     return max(fwd, 1), max(bwd, 1)
 
 
+def commit_deltas(
+    repo: Repository, commit: RepoCommit, retrieval_ratio: float = 1.0
+) -> list[tuple[int, int, float, float]]:
+    """``commit``'s ``(u, v, storage, retrieval)`` deltas to its parents.
+
+    Per parent ``p``: ``(p, c, fwd, fwd * ratio)`` then ``(c, p, bwd,
+    bwd * ratio)`` from one :func:`snapshot_delta_bytes_pair` call — the
+    one edge order that batch builds and online ingest share.
+    """
+    c = commit.id
+    out = []
+    for p in commit.parents:
+        fwd, bwd = snapshot_delta_bytes_pair(repo.commits[p].snapshot, commit.snapshot)
+        out.append((p, c, float(fwd), float(fwd) * retrieval_ratio))
+        out.append((c, p, float(bwd), float(bwd) * retrieval_ratio))
+    return out
+
+
 def build_graph_from_repo(
     repo: Repository, *, retrieval_ratio: float = 1.0, name: str = "repo"
 ) -> VersionGraph:
@@ -113,10 +132,6 @@ def build_graph_from_repo(
     for c in repo.commits:
         g.add_version(c.id, float(c.total_bytes()))
     for c in repo.commits:
-        for p in c.parents:
-            fwd, bwd = snapshot_delta_bytes_pair(
-                repo.commits[p].snapshot, c.snapshot
-            )
-            g.add_delta(p, c.id, float(fwd), float(fwd) * retrieval_ratio)
-            g.add_delta(c.id, p, float(bwd), float(bwd) * retrieval_ratio)
+        for u, v, s, r in commit_deltas(repo, c, retrieval_ratio):
+            g.add_delta(u, v, s, r)
     return g

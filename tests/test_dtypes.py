@@ -141,8 +141,14 @@ class TestTreeDtypeInheritance:
         # (par_eid is bookkeeping only, so a synthetic id is fine here)
         big_eid = _INT32_CAPACITY + 10
         new_v = tree.append_version(tree.cg.aux, big_eid, 5.0, 1.0)
-        for attr in ("parent", "par_edge", "size", "_tin", "_tout", "_preorder"):
+        for attr in ("parent", "par_edge", "size"):
             assert getattr(tree, attr).dtype == np.dtype(np.int64), attr
+        # appends leave the Euler intervals stale; they are rebuilt at
+        # the upgraded dtype on next use
+        tree.ensure_euler()
+        for attr in ("_tin", "_tout", "_preorder"):
+            assert getattr(tree, attr).dtype == np.dtype(np.int64), attr
+        assert len(tree._preorder) == len(tree.parent)
         assert int(tree.par_edge[new_v]) == big_eid
         new_aux = len(tree.parent) - 1
         assert int(tree.parent[new_v]) == new_aux

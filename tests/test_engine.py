@@ -139,6 +139,17 @@ class TestIncrementalCompile:
         tree = lmg_array(snap, repo_budget(random_digraph(6, seed=4)))
         assert tree.num_versions == n0
 
+    def test_snapshot_shares_arrays_not_indexes(self):
+        cg = random_digraph(8, seed=6).compile()
+        snap = cg.snapshot()
+        for name in CompiledGraph.__slots__:
+            a = getattr(cg, name)
+            if isinstance(a, np.ndarray):
+                assert getattr(snap, name) is a, name
+        for name in ("nodes", "index", "_edge_index"):
+            assert getattr(snap, name) == getattr(cg, name)
+            assert getattr(snap, name) is not getattr(cg, name), name
+
     def test_detach_mutations_are_absorbed(self):
         # removals tombstone + compact in place instead of invalidating
         g = random_digraph(6, seed=5)

@@ -195,6 +195,60 @@ class TestArrayPlanTree:
                 return
         pytest.skip("no cycle-creating edge in this instance")
 
+    def test_subtree_matches_plantree_descendants(self):
+        cg, ref, arr = self.make_pair(seed=12)
+        node = cg.node_of
+        # from AUX: the dict tree's own root-first walk, order included
+        assert [node(x) for x in arr.subtree(cg.aux)] == ref._topo_order()
+        ref.refresh_euler()
+        for v in range(cg.n):
+            sub = arr.subtree(v)
+            assert sub[0] == v and len(sub) == int(arr.size[v])
+            assert {node(x) for x in sub} == {
+                y for y in ref.parent if ref.is_ancestor(cg.nodes[v], y)
+            }
+            seen = set()
+            for x in sub[1:]:  # preorder: every parent comes first
+                assert int(arr.parent[x]) in seen | {v}
+                seen.add(x)
+
+    def test_clone_mutations_leave_original_bit_identical(self):
+        cg, _, arr = self.make_pair(seed=13)
+        # grow the original first: a clone must not share its append buffers
+        arr.append_version(0, cg.num_edges, 3.0, 1.0)
+        arr.refresh_euler()
+
+        def state(t):
+            t._ensure_children()
+            return (
+                [a.tobytes() for a in (t.parent, t.par_edge, t.ret, t.size)],
+                [list(c) for c in t.children],
+                t.total_storage,
+                t.total_retrieval,
+            )
+
+        before = state(arr)
+        tin, pre = arr._tin.tobytes(), arr._preorder.tobytes()
+        leaf = next(v for v in range(cg.n) if arr.size[v] == 1 and arr.parent[v] != cg.aux)
+        aux_eid = int(cg.aux_edge[leaf])
+        old_s = float(cg.edge_storage[arr.par_edge[leaf]])
+
+        def swap(t):  # fresh path: the intervals are current
+            t.materialize(leaf)
+
+        def walk(t):  # walk-path move on clean child sets, append, detach
+            aux = t.num_versions
+            t.rehome_subtree(leaf, aux, aux_eid, float(cg.edge_storage[aux_eid]), 0.0, old_s)
+            new_v = t.append_version(leaf, cg.num_edges, 2.0, 1.0)
+            t.detach_version(new_v, 2.0)
+
+        for mutate in (swap, walk):
+            copy = arr.clone()
+            mutate(copy)
+            assert state(copy) != before
+            assert state(arr) == before
+            assert (arr._tin.tobytes(), arr._preorder.tobytes()) == (tin, pre)
+
     def test_exports(self):
         cg, ref, arr = self.make_pair(seed=11)
         assert ref.to_plan() == arr.to_plan()

@@ -25,8 +25,9 @@ import pytest
 
 from repro.core.graph import AUX, GraphError, VersionGraph
 from repro.engine import IngestEngine
-from repro.fastgraph import CompiledGraph
-from repro.gen import CostModel, er_construction, natural_graph
+from repro.fastgraph import ArrayPlanTree, CompiledGraph
+from repro.fastgraph.arborescence import min_storage_parent_edges
+from repro.gen import CostModel, er_construction, natural_graph, random_digraph
 
 # shared instance/budget helpers live in tests/helpers.py (see conftest)
 from helpers import cached_repo
@@ -380,6 +381,25 @@ class TestRepairRule:
         check_engine_coherence(eng)
         assert parent_of(eng, "c") == "a"
         assert parent_of(eng, "d") == "c"
+
+    def test_rehome_under_own_descendant_raises(self):
+        # the move's new-parent size walk meets v: GraphError, no change
+        cg = random_digraph(30, seed=3).compile()
+        tree = ArrayPlanTree(cg, min_storage_parent_edges(cg))
+        v = max(range(cg.n), key=lambda x: int(tree.size[x]))
+        below = [d for d in range(cg.n) if d != v and tree.is_ancestor(v, d)]
+        assert len(below) > 1
+        before = tree.clone()
+        for d in below:
+            with pytest.raises(GraphError, match="cycle"):
+                tree.rehome_subtree(v, d, 0, 1.0, 1.0, 1.0)
+        for name in ("parent", "par_edge", "ret", "size"):
+            assert np.array_equal(getattr(tree, name), getattr(before, name))
+        assert tree.children == before.children
+        assert (tree.total_storage, tree.total_retrieval) == (
+            before.total_storage,
+            before.total_retrieval,
+        )
 
     def test_bmr_arrival_rejects_parent_over_budget(self):
         eng = repair_engine("bmr", budget=10.0)
