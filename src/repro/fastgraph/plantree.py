@@ -305,13 +305,14 @@ class ArrayPlanTree:
         else:
             self._apply_swap_fresh(eid, u, v)
 
-    def _apply_swap_python(self, eid: int, u: int, v: int) -> None:
+    def _apply_swap_python(self, eid: int, u: int, v: int) -> list[int] | None:
         """Walk-form swap: :meth:`_move` with costs from the compiled
-        arrays.  Leaves ``_order_dirty`` set."""
+        arrays.  Leaves ``_order_dirty`` set and returns :meth:`_move`'s
+        subtree walk."""
         cg = self.cg
         ds = float(cg.edge_storage[eid] - cg.edge_storage[self.par_edge[v]])
         shift = float(self.ret[u] + cg.edge_retrieval[eid] - self.ret[v])
-        self._move(v, u, eid, ds, shift)
+        return self._move(v, u, eid, ds, shift)
 
     def _add_size(self, x: int, d: int) -> None:
         """Add ``d`` to the subtree sizes of ``x`` and all its ancestors."""
@@ -324,14 +325,18 @@ class ArrayPlanTree:
                 break
             x = int(parent[x])
 
-    def _move(self, v: int, u: int, eid: int, ds: float, shift: float) -> None:
+    def _move(
+        self, v: int, u: int, eid: int, ds: float, shift: float
+    ) -> list[int] | None:
         """The walk form of "make ``u`` the parent of ``v``".
 
         O(1) child surgery, O(depth) size walks up the old and the new
         ancestor chain, and an O(|subtree(v)|) walk adding ``shift`` to
         every retrieval cost once.  ``ds`` is the storage delta of the
         edge change; the total retrieval moves by ``shift * size(v)``,
-        the same product :meth:`swap_deltas_edge` evaluates.  Raises
+        the same product :meth:`swap_deltas_edge` evaluates.  Returns
+        that walk, :meth:`subtree` of ``v`` after the move, or ``None``
+        when ``shift`` is zero and no walk was made.  Raises
         :class:`GraphError`, before any state changes, when ``u`` lies
         inside ``v``'s subtree: the new chain's size walk meets ``v``.
         """
@@ -358,13 +363,16 @@ class ArrayPlanTree:
         self._add_size(p, -sz)
         for x in chain:
             size[x] += sz
+        sub = None
         if shift != 0.0:
             ret = self.ret
-            for y in self.subtree(v):
+            sub = self.subtree(v)
+            for y in sub:
                 ret[y] += shift
         self.total_storage += ds
         self.total_retrieval += shift * sz
         self._order_dirty = True
+        return sub
 
     def _apply_swap_fresh(self, eid: int, u: int, v: int) -> None:
         """Vectorized swap that keeps the Euler intervals current.

@@ -581,7 +581,8 @@ def _bmr_run(
     whose subtree maximum changed.  Stale pops are skipped.
 
     Moves go through the tree's walk path
-    (:meth:`ArrayPlanTree._apply_swap_python`); list mirrors of
+    (:meth:`ArrayPlanTree._apply_swap_python`), whose subtree walk is
+    reused for the invalidation set; list mirrors of
     ``parent``/``par_edge``/``ret`` serve scalar reads.  ``submax``
     stays bit-equal to a from-scratch pass because it only selects or
     adds the move's one shift: ``+= shift`` inside ``subtree(v)``
@@ -657,13 +658,14 @@ def _bmr_run(
         u = src[pick]
         p = parent[v]
         shift = ret[u] + er[pick] - ret[v]
-        tree._apply_swap_python(pick, u, v)
+        sub = tree._apply_swap_python(pick, u, v)
         applied += 1
         parent[v] = u
         par_edge[v] = pick
         if record is not None:
             record.append((pick, submax[v] + shift, tree.total_storage))
-        sub = tree.subtree(v)
+        if sub is None:  # a zero shift: the move made no subtree walk
+            sub = tree.subtree(v)
         if shift != 0.0:
             for x in sub:
                 ret[x] = float(tree_ret[x])

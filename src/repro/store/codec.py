@@ -8,7 +8,8 @@ payload)`` so payloads of different kinds can never collide:
     byte layout :meth:`repro.vcs.repo.RepoCommit.total_bytes` counts,
     so stored-vs-raw byte comparisons are apples to apples.  Lines must
     be newline-free for the encoding to round-trip; the store rejects
-    snapshots that are not.
+    snapshots that are not, and loaded payloads that are not canonical
+    (empty, or UTF-8 ending in ``\\n``).
 
 ``manifest``
     A full snapshot: canonical JSON mapping each path to its blob
@@ -85,17 +86,32 @@ def _canonical_json(obj: object) -> bytes:
 # ----------------------------------------------------------------------
 def blob_bytes(lines: tuple[str, ...]) -> bytes:
     """One file's canonical content bytes (newline-terminated lines)."""
-    for line in lines:
-        if "\n" in line:
-            raise StoreError("blob lines must be newline-free to round-trip")
-    return b"".join(line.encode() + b"\n" for line in lines)
+    if not lines:
+        return b""
+    text = "\n".join(lines)
+    if text.count("\n") != len(lines) - 1:
+        raise StoreError("blob lines must be newline-free to round-trip")
+    return (text + "\n").encode()
 
 
 def blob_lines(data: bytes) -> tuple[str, ...]:
-    """Inverse of :func:`blob_bytes`."""
+    """Inverse of :func:`blob_bytes`; rejects non-canonical payloads.
+
+    A canonical blob is empty or UTF-8 ending in ``\\n``, exactly the
+    payloads :func:`blob_bytes` can produce.  Any other payload would
+    decode to lines that re-encode to different bytes, so the blob's
+    key would no longer vouch for the lines returned: it raises
+    :class:`StoreError` with code ``object-corrupt`` instead.
+    """
     if not data:
         return ()
-    return tuple(data.decode()[:-1].split("\n"))
+    if not data.endswith(b"\n"):
+        raise StoreError("blob is not newline-terminated", code="object-corrupt")
+    try:
+        text = data.decode()
+    except UnicodeDecodeError as err:
+        raise StoreError(f"blob is not UTF-8: {err}", code="object-corrupt") from None
+    return tuple(text[:-1].split("\n"))
 
 
 # ----------------------------------------------------------------------
@@ -114,9 +130,10 @@ def decode_manifest(payload: bytes) -> dict[str, str]:
 def snapshot_digest(snapshot: Snapshot) -> str:
     """The manifest hash a snapshot *would* have — its byte identity.
 
-    Computable without storing anything; ``checkout`` compares the
-    reconstructed snapshot's digest against the one recorded at
-    materialization time before returning.
+    Computable without storing anything by re-hashing every line.  The
+    store records it for delta records at write time, and tests use it
+    as the oracle for the digest ``checkout`` derives from its carried
+    ``path -> blob hash`` map.
     """
     blob_hashes = {
         path: hash_object("blob", blob_bytes(tuple(lines)))
@@ -169,18 +186,25 @@ def decode_delta(payload: bytes) -> dict[str, dict]:
 
 def apply_delta(
     base: Snapshot,
+    hashes: dict[str, str],
     entries: dict[str, dict],
     *,
     load_blob: Callable[[str], bytes],
-) -> Snapshot:
-    """Replay a decoded delta against ``base``.
+) -> tuple[Snapshot, dict[str, str]]:
+    """Replay a decoded delta against ``base`` and its blob-hash map.
 
-    ``load_blob`` resolves ``create`` entries' blob hashes to verified
-    payload bytes.  Raises :class:`StoreError` on malformed entries or
-    patch scripts that do not fit the base (the corruption surface
-    ``fsck`` reports as ``delta-apply-failed``).
+    ``hashes`` maps each path of ``base`` to the blob hash of its
+    content; the returned pair is the target snapshot and its map, so
+    the target's digest is one manifest hash away.  A ``delete`` drops
+    the path, a ``create`` takes the entry's blob hash (``load_blob``
+    resolves it to payload bytes verified against that hash), and a
+    ``patch`` re-hashes the one file it rewrites; every other path
+    keeps its hash from the base.  Raises :class:`StoreError` on
+    malformed entries or patch scripts that do not fit the base (the
+    corruption surface ``fsck`` reports as ``delta-apply-failed``).
     """
     out: Snapshot = dict(base)
+    out_hashes = dict(hashes)
     for path, entry in entries.items():
         op = entry.get("op")
         if op == "delete":
@@ -190,8 +214,10 @@ def apply_delta(
                     code="delta-apply-failed",
                 )
             del out[path]
+            del out_hashes[path]
         elif op == "create":
             out[path] = blob_lines(load_blob(entry["blob"]))
+            out_hashes[path] = entry["blob"]
         elif op == "patch":
             if path not in out:
                 raise StoreError(
@@ -210,16 +236,16 @@ def apply_delta(
                         f"unknown patch op {kind!r}", code="delta-apply-failed"
                     )
             try:
-                out[path] = tuple(
-                    DeltaScript(tuple(ops)).apply(list(out[path]))
-                )
+                lines = tuple(DeltaScript(tuple(ops)).apply(list(out[path])))
             except ValueError as err:
                 raise StoreError(
                     f"patch does not fit base for {path!r}: {err}",
                     code="delta-apply-failed",
                 ) from err
+            out[path] = lines
+            out_hashes[path] = hash_object("blob", blob_bytes(lines))
         else:
             raise StoreError(
                 f"unknown delta entry op {op!r}", code="delta-apply-failed"
             )
-    return out
+    return out, out_hashes

@@ -13,7 +13,9 @@ content-addressed :class:`~repro.store.objects.ObjectStore`:
   down the recorded chain, verifying every object hash on load and the
   reconstructed snapshot's digest before returning — it raises
   :class:`~repro.store.codec.StoreError` rather than ever handing back
-  wrong bytes;
+  wrong bytes.  A ``path -> blob hash`` map rides down the chain next
+  to the snapshot, so each returned byte is hashed once and the digest
+  is one manifest hash over the map;
 * ``migrate(old_plan, new_plan)`` rewrites exactly the edges in the
   symmetric difference of the two trees (pinned by the
   :class:`StoreOps` counter) and garbage-collects unreferenced
@@ -51,6 +53,9 @@ from .codec import (
     snapshot_digest,
 )
 from .objects import FileObjectStore, MemoryObjectStore, ObjectStore
+
+#: A replayed version: its snapshot and ``path -> blob hash`` map.
+_State = tuple[Snapshot, dict[str, str]]
 
 __all__ = [
     "MaterializationStore",
@@ -207,13 +212,13 @@ class MaterializationStore:
         self._records: dict[Node, _Record] = {}
         self._digests: dict[Node, str] = {}
         self._meta_path: Path | None = None
-        # LRU of digest-verified snapshots: repeated checkouts of nearby
-        # versions replay only the chain suffix below the nearest cached
-        # ancestor instead of re-decoding from the materialized root.
-        # 0 disables.  Every mutating op (materialize/sync/migrate)
-        # clears it — records and digests may change underneath.
+        # LRU of digest-verified replay states: repeated checkouts of
+        # nearby versions replay only the chain suffix below the nearest
+        # cached ancestor instead of re-decoding from the materialized
+        # root.  0 disables.  Every mutating op (materialize/sync/
+        # migrate) clears it — records and digests may change underneath.
         self._cache_slots = int(checkout_cache)
-        self._snap_cache: OrderedDict[Node, Snapshot] = OrderedDict()
+        self._snap_cache: OrderedDict[Node, _State] = OrderedDict()
 
     # ------------------------------------------------------------------
     # persistence
@@ -315,13 +320,9 @@ class MaterializationStore:
         for v in order:
             snaps[v] = fetch(v)
         for v in order:
-            p = parent[v]
-            snap = snaps[v]
-            self._digests[v] = snapshot_digest(snap)
-            if p is None:
-                self._records[v] = self._write_full(snap)
-            else:
-                self._records[v] = self._write_delta(p, snaps[p], snap)
+            rec = self._write_edge(parent[v], v, snaps)
+            self._records[v] = rec
+            self._digests[v] = _digest_of(rec, snaps[v])
             self.ops.edges_written += 1
         self.flush()
 
@@ -330,6 +331,14 @@ class MaterializationStore:
             self.ops.objects_written += 1
             self.ops.bytes_written += len(data)
         return key
+
+    def _write_edge(
+        self, p: Node | None, v: Node, snaps: dict[Node, Snapshot]
+    ) -> _Record:
+        """Store the object realizing plan edge ``(p, v)``."""
+        if p is None:
+            return self._write_full(snaps[v])
+        return self._write_delta(p, snaps[p], snaps[v])
 
     def _write_full(self, snap: Snapshot) -> _Record:
         manifest: dict[str, str] = {}
@@ -372,32 +381,46 @@ class MaterializationStore:
             )
         return data
 
-    def _load_full(self, rec: _Record) -> Snapshot:
-        manifest = decode_manifest(self._load_object("manifest", rec.obj))
-        return {
-            path: blob_lines(self._load_object("blob", bh))
-            for path, bh in manifest.items()
-        }
+    def _step(self, rec: _Record, base: _State | None) -> _State:
+        """The one replay step of ``checkout`` and ``fsck``.
 
-    def _apply_delta_record(self, rec: _Record, base: Snapshot) -> Snapshot:
+        A full record's map is its decoded manifest; every blob it names
+        is verified against its key and checked canonical on load.  A
+        delta record replays against ``base`` through
+        :func:`~repro.store.codec.apply_delta`, which takes ``create``
+        hashes from their verified blobs and re-hashes only patched
+        files.
+        """
+        if rec.parent is None:
+            hashes = decode_manifest(self._load_object("manifest", rec.obj))
+            snap = {
+                path: blob_lines(self._load_object("blob", bh))
+                for path, bh in hashes.items()
+            }
+            return snap, hashes
         entries = decode_delta(self._load_object("delta", rec.obj))
         return apply_delta(
-            base, entries,
+            *base, entries,
             load_blob=lambda bh: self._load_object("blob", bh),
         )
 
-    def _cache_get(self, v: Node) -> Snapshot | None:
-        snap = self._snap_cache.get(v)
-        if snap is not None:
-            self._snap_cache.move_to_end(v)
-        return snap
+    def _matches(self, v: Node, hashes: dict[str, str]) -> bool:
+        """True when a replayed map hashes to ``v``'s recorded digest."""
+        digest = hash_object("manifest", encode_manifest(hashes))
+        return digest == self._digests.get(v)
 
-    def _cache_put(self, v: Node, snap: Snapshot) -> None:
+    def _cache_get(self, v: Node) -> _State | None:
+        state = self._snap_cache.get(v)
+        if state is not None:
+            self._snap_cache.move_to_end(v)
+        return state
+
+    def _cache_put(self, v: Node, state: _State) -> None:
         if self._cache_slots <= 0:
             return
-        # a private copy: callers may mutate the snapshot they receive
-        # (values are immutable line tuples, so shallow is enough)
-        self._snap_cache[v] = dict(snap)
+        # states are never mutated: replay copies its base, and callers
+        # receive a copy of the snapshot
+        self._snap_cache[v] = state
         self._snap_cache.move_to_end(v)
         while len(self._snap_cache) > self._cache_slots:
             self._snap_cache.popitem(last=False)
@@ -409,10 +432,14 @@ class MaterializationStore:
         loads/reuses its snapshot, replays the delta chain down to
         ``v``, and compares the result's digest against the one recorded
         at materialization.  Any missing object, hash mismatch,
-        unreplayable delta or digest mismatch raises :class:`StoreError`
-        — wrong bytes are never returned.
+        non-canonical blob, unreplayable delta or digest mismatch raises
+        :class:`StoreError` — wrong bytes are never returned.
 
-        Only digest-verified snapshots enter the cache (sized by the
+        The digest comes from the ``path -> blob hash`` map carried down
+        the chain (:meth:`_step`), so each returned byte is hashed once:
+        when its blob is loaded or when a patch rewrites its file.
+
+        Only digest-verified states enter the cache (sized by the
         ``checkout_cache`` constructor argument), so a cached base is
         exactly as trustworthy as a freshly replayed one; repeated
         checkouts of nearby versions replay only the chain suffix
@@ -420,44 +447,38 @@ class MaterializationStore:
         """
         cached = self._cache_get(v)
         if cached is not None:
-            return dict(cached)
+            return dict(cached[0])
         chain: list[tuple[Node, _Record]] = []
         x = v
         seen: set[Node] = set()
         rec = self._get_record(x)
-        base: Snapshot | None = None
+        state: _State | None = None
         while rec.parent is not None:
             if x in seen:
                 raise StoreError(f"parent chain of {v!r} contains a cycle")
             seen.add(x)
             chain.append((x, rec))
             x = rec.parent
-            hit = self._cache_get(x)
-            if hit is not None:
-                base = dict(hit)  # verified when it entered the cache
+            state = self._cache_get(x)  # verified when it entered the cache
+            if state is not None:
                 break
             rec = self._get_record(x)
+        if state is None:
+            chain.append((x, rec))  # the materialized root
         caching = self._cache_slots > 0
-        if base is None:
-            base = self._load_full(rec)
-            d = self._digests.get(x) if caching else None
-            if d is not None and snapshot_digest(base) == d:
-                self._cache_put(x, base)
-        snap = base
         for y, rec in reversed(chain):
-            snap = self._apply_delta_record(rec, snap)
+            state = self._step(rec, state)
             if y == v:
                 break  # the final digest check below gates caching v
-            d = self._digests.get(y) if caching else None
-            if d is not None and snapshot_digest(snap) == d:
-                self._cache_put(y, snap)
-        if snapshot_digest(snap) != self._digests[v]:
+            if caching and self._matches(y, state[1]):
+                self._cache_put(y, state)
+        if not self._matches(v, state[1]):
             raise StoreError(
                 f"checkout of {v!r} does not match its recorded digest",
                 code="digest-mismatch",
             )
-        self._cache_put(v, snap)
-        return snap
+        self._cache_put(v, state)
+        return dict(state[0])
 
     # ------------------------------------------------------------------
     # migrate
@@ -506,12 +527,9 @@ class MaterializationStore:
         records: dict[Node, _Record] = {}
         for v, p in new_parent.items():
             if (p, v) in added:
+                records[v] = self._write_edge(p, v, snaps)
                 if v not in self._digests or v not in self._records:
-                    self._digests[v] = snapshot_digest(snaps[v])
-                if p is None:
-                    records[v] = self._write_full(snaps[v])
-                else:
-                    records[v] = self._write_delta(p, snaps[p], snaps[v])
+                    self._digests[v] = _digest_of(records[v], snaps[v])
             else:
                 records[v] = self._records[v]
         self._records = records
@@ -649,31 +667,43 @@ class MaterializationStore:
             findings.append(FsckFinding("tree-structure", "<tree>", str(err)))
             return findings
 
-        # pass 3: replay every chain root-first, verify digests
-        snaps: dict[Node, Snapshot | None] = {}
+        # pass 3: replay every chain root-first with checkout's step,
+        # verify digests
+        states: dict[Node, _State | None] = {}
         for v in order:
             rec = self._records[v]
+            base = None
+            if rec.parent is not None:
+                base = states.get(rec.parent)
+                if base is None:
+                    states[v] = None  # ancestor already failed
+                    continue
             try:
-                if rec.parent is None:
-                    snap = self._load_full(rec)
-                else:
-                    base = snaps.get(rec.parent)
-                    if base is None:
-                        snaps[v] = None  # ancestor already failed
-                        continue
-                    snap = self._apply_delta_record(rec, base)
+                state = self._step(rec, base)
             except StoreError as err:
                 code = err.code or "delta-apply-failed"
                 findings.append(FsckFinding(code, repr(v), str(err)))
-                snaps[v] = None
+                states[v] = None
                 continue
-            snaps[v] = snap
-            if snapshot_digest(snap) != self._digests.get(v):
+            states[v] = state
+            if not self._matches(v, state[1]):
                 findings.append(FsckFinding(
                     "digest-mismatch", repr(v),
                     f"reconstruction of {v!r} does not match its digest",
                 ))
         return findings
+
+
+def _digest_of(rec: _Record, snap: Snapshot) -> str:
+    """The digest to record for ``snap``, just written as ``rec``.
+
+    A full record's manifest key already is the snapshot digest.  A
+    delta record's digest is hashed from the source snapshot itself,
+    never derived from the delta being written: that independence is
+    what lets ``checkout`` catch a delta codec that drops or garbles a
+    change, such as a dropped create of an empty file.
+    """
+    return rec.obj if rec.parent is None else snapshot_digest(snap)
 
 
 def _fetcher(repo: Repository | Callable[[Node], Snapshot]):

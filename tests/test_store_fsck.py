@@ -7,11 +7,18 @@ damaged chain must raise a clean :class:`StoreError` (never return
 wrong bytes).
 """
 
+import json
+
 import pytest
 
 from repro.algorithms.registry import get_solver
 from repro.store import FSCK_CODES, StoreError, materialize
-from repro.store.codec import decode_manifest
+from repro.store.codec import (
+    decode_delta,
+    decode_manifest,
+    encode_manifest,
+    hash_object,
+)
 
 
 @pytest.fixture()
@@ -200,3 +207,62 @@ def test_corruption_never_returns_wrong_bytes(store_and_repo):
             assert err.code in FSCK_CODES
         else:
             assert snap == snapshots[w]
+
+
+def test_noncanonical_blob_under_its_true_key_detected(store_and_repo):
+    """A blob without its trailing newline, stored under its true key
+    and referenced by a re-keyed manifest whose digest is recorded.
+
+    Every object hashes to its key and the recorded digest matches the
+    manifest, but the blob decodes to lines that re-encode to different
+    bytes; only the canonical-blob rule stands between it and checkout.
+    """
+    store, _ = store_and_repo
+    manifests, _, _ = classify_keys(store)
+    v, manifest_key = manifests[0]
+    files = decode_manifest(store.objects.get(manifest_key))
+    path = next(p for p, bh in files.items() if len(store.objects.get(bh)) > 1)
+    bad = store.objects.get(files[path])[:-1]
+    files[path] = hash_object("blob", bad)
+    store.objects.poke(files[path], bad)
+    payload = encode_manifest(files)
+    key = hash_object("manifest", payload)
+    store.objects.poke(key, payload)
+    store._records[v] = type(store._records[v])(None, "full", key)
+    store._digests[v] = key
+
+    with pytest.raises(StoreError) as exc:
+        store.checkout(v)
+    assert exc.value.code == "object-corrupt"
+    assert any(
+        f.code == "object-corrupt" and f.subject == repr(v) for f in store.fsck()
+    )
+
+
+def test_rekeyed_wrong_patch_raises_digest_mismatch(store_and_repo):
+    """A delta re-keyed after one patch was changed to still fit its
+    base: every object hashes to its key, only the digest gate fails."""
+    store, _ = store_and_repo
+    _, deltas, _ = classify_keys(store)
+    for v, delta_key in deltas:
+        entries = decode_delta(store.objects.get(delta_key))
+        patched = [p for p, e in entries.items() if e["op"] == "patch"]
+        if patched:
+            break
+    else:
+        raise AssertionError("no stored delta patches a file")
+    entries[patched[0]]["ops"].append(["insert", ["a line nobody wrote"]])
+    payload = json.dumps(
+        {"files": entries}, sort_keys=True, separators=(",", ":")
+    ).encode()
+    key = hash_object("delta", payload)
+    store.objects.poke(key, payload)
+    rec = store._records[v]
+    store._records[v] = type(rec)(rec.parent, rec.kind, key)
+
+    with pytest.raises(StoreError) as exc:
+        store.checkout(v)
+    assert exc.value.code == "digest-mismatch"
+    assert any(
+        f.code == "digest-mismatch" and f.subject == repr(v) for f in store.fsck()
+    )

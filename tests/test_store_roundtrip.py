@@ -187,6 +187,28 @@ def test_encode_delta_records_empty_file_presence_changes():
     }
 
 
+def test_blob_codec_round_trips_only_canonical_payloads():
+    """``blob_lines`` inverts ``blob_bytes`` and rejects everything else.
+
+    A payload that is not empty and newline-terminated UTF-8 would decode
+    to lines whose encoding differs from the payload, so its key would
+    not vouch for them.
+    """
+    from repro.store import StoreError
+    from repro.store.codec import blob_bytes, blob_lines
+
+    for lines in [(), ("",), ("a",), ("a", "", "b"), ("", ""), ("\u00fc x",)]:
+        data = blob_bytes(lines)
+        assert data == b"".join(line.encode() + b"\n" for line in lines)
+        assert blob_lines(data) == lines
+    with pytest.raises(StoreError):
+        blob_bytes(("a\nb",))
+    for bad in (b"a", b"a\nb", b"\n\n\xff", b"\xff\n"):
+        with pytest.raises(StoreError) as exc:
+            blob_lines(bad)
+        assert exc.value.code == "object-corrupt"
+
+
 def test_file_store_put_is_atomic_and_self_healing(tmp_path, monkeypatch):
     """A crash mid-put never plants a truncated object at its key."""
     import os
