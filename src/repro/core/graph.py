@@ -450,8 +450,11 @@ class VersionGraph:
         Following Algorithm 1 lines 1-6: a node :data:`AUX` is added with
         an edge ``(AUX, v)`` per version, where ``s_(AUX,v) = s_v`` and
         ``r_(AUX,v) = 0``.  The auxiliary root itself carries zero
-        storage cost and cannot be materialized.
+        storage cost and cannot be materialized.  Raises
+        :class:`GraphError` on a graph that already has AUX.
         """
+        if self.has_aux:
+            raise GraphError("graph is already extended (has AUX)")
         ext = VersionGraph(name=self.name)
         ext._storage = dict(self._storage)
         ext._edges = dict(self._edges)
@@ -476,8 +479,8 @@ class VersionGraph:
         """Compile into flat arrays for the fastgraph solver kernels.
 
         Returns a :class:`repro.fastgraph.CompiledGraph` — node→int
-        interning plus CSR adjacency over the *extended* graph (the
-        extension happens internally when this graph lacks AUX).  The
+        interning plus CSR adjacency over the *extended* graph, whose
+        AUX edges exist only in the arrays (no dict copy is built).  The
         result is cached until the next mutation, so budget sweeps and
         repeated solver calls reuse one compiled snapshot instead of
         re-extending and re-indexing per call.

@@ -16,7 +16,7 @@ into flat NumPy arrays and reruns the greedy hot loops on top of them:
     every budget probe).  Append mutations — new versions, new deltas —
     *extend* the cached arrays in place through the mutation-event API
     (elementwise-equal to a fresh compile; the online ingest engine
-    rides on this), while cost updates and removals still invalidate.
+    rides on this), removals are tombstoned, and cost updates invalidate.
 
 :class:`ArrayPlanTree`
     The flat-array counterpart of :class:`~repro.core.solution.PlanTree`

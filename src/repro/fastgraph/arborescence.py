@@ -59,7 +59,7 @@ def min_storage_parent_edges(cg: CompiledGraph) -> list[tuple[int, int]]:
     """Minimum-storage arborescence of the extended graph, as
     ``(version index, parent edge id)`` pairs rooted at AUX.
 
-    Plan-identical to ``min_storage_arborescence`` on ``cg.graph``.
+    Plan-identical to ``min_storage_arborescence`` on ``cg.extended_graph()``.
     Raises :class:`GraphError` when some version is unreachable.  The
     tree is computed on the first call and cached on ``cg``; every call
     returns a fresh list.

@@ -1,7 +1,7 @@
 """Index-compiled version graphs (node interning + CSR arrays).
 
-A :class:`CompiledGraph` freezes one *extended* version graph into flat
-NumPy arrays.  Everything is keyed by small integers:
+A :class:`CompiledGraph` freezes a version graph's *extended* graph
+``G_aux`` into flat NumPy arrays, its only copy, keyed by small integers:
 
 * versions get indices ``0 .. n-1`` in insertion order, the auxiliary
   root :data:`~repro.core.graph.AUX` gets index ``n`` (:attr:`aux`);
@@ -105,13 +105,14 @@ def _check_index_capacity(
 
 
 class CompiledGraph:
-    """Flat-array snapshot of an extended :class:`VersionGraph`.
+    """Flat-array snapshot of the extended graph of a :class:`VersionGraph`.
 
     Attributes
     ----------
-    graph:
-        The extended :class:`VersionGraph` this was compiled from (kept
-        for interop: building dict ``PlanTree`` views, arborescences).
+    source:
+        The :class:`VersionGraph` this was compiled from (plain or
+        extended), by reference, not copied; :meth:`extended_graph`
+        builds its dict ``G_aux`` on demand.
     nodes:
         Version objects by index (length ``n``; AUX is *not* listed).
     index:
@@ -142,7 +143,7 @@ class CompiledGraph:
     """
 
     __slots__ = (
-        "graph",
+        "source",
         "nodes",
         "index",
         "n",
@@ -159,7 +160,6 @@ class CompiledGraph:
         "in_indptr",
         "in_edges",
         "_edge_index",
-        "name",
         "_r_src",
         "_r_dst",
         "_r_es",
@@ -170,7 +170,6 @@ class CompiledGraph:
         "_pend_edges",
         "_dead_nodes",
         "_dead_edges",
-        "_owns_graph",
         "_stale",
         "index_dtype",
         "_str_order",
@@ -188,26 +187,20 @@ class CompiledGraph:
         Every version and real delta is queued as a pending append and
         the first :meth:`refresh` folds them in from empty arrays.
         """
-        ext = graph if graph.has_aux else graph.extended()
-        self.graph = ext
-        self.name = ext.name
-        # appends can only be routed here by the *source* graph's event
-        # stream; a compile of an already-extended graph would see its
-        # own mutations twice, so it opts out of incremental absorption
-        self._owns_graph = ext is not graph
-        self.nodes: list[Node] = [v for v in ext.versions if v is not AUX]
+        self.source = graph
+        self.nodes: list[Node] = [v for v in graph.versions if v is not AUX]
         n = len(self.nodes)
         self.n = n
         self.aux = n
         self.index: dict[Node, int] = {v: i for i, v in enumerate(self.nodes)}
         self.index[AUX] = n
 
-        # real deltas in insertion order; ``extended()`` appends the AUX
-        # edges after them, so this is the canonical edge-id layout
-        self._pend_nodes: list[float] = [ext.storage_cost(v) for v in self.nodes]
+        # real deltas in insertion order, AUX edges after them: the
+        # canonical edge-id layout of ``extended()``
+        self._pend_nodes: list[float] = [graph.storage_cost(v) for v in self.nodes]
         self._pend_edges: list[tuple[int, int, float, float]] = [
             (self.index[u], self.index[v], d.storage, d.retrieval)
-            for u, v, d in ext.deltas()
+            for u, v, d in graph.deltas()
             if u is not AUX
         ]
         m = len(self._pend_edges)
@@ -248,15 +241,17 @@ class CompiledGraph:
         next :meth:`refresh` to compact out (lazily — removals are
         amortized into the next re-solve's compile).  Cost updates
         (``update_version`` / ``update_delta``) return False so the
-        owning graph falls back to full invalidation.
+        owning graph falls back to full invalidation.  :attr:`source`
+        has already applied the event; no dict graph is written here.
         """
-        if not self._owns_graph:
+        if self.source.has_aux:
+            # the caller mutates this extended graph directly and would
+            # see its own mutations twice: opt out of absorption
             return False
         if event.kind in GraphMutation.DETACH_KINDS:
             return self._apply_detach(event)
         if event.kind not in GraphMutation.APPEND_KINDS:
             return False
-        ext = self.graph
         if event.kind == "add_version":
             v = event.v
             i = self.n
@@ -267,8 +262,6 @@ class CompiledGraph:
             self.index[AUX] = self.n
             self._pend_nodes.append(float(event.storage))
             self.num_edges += 1  # the (AUX, v) materialization edge
-            ext.add_version(v, event.storage)
-            ext.add_delta(AUX, v, event.storage, 0.0)
         else:  # add_delta
             ui = self.index[event.u]
             vi = self.index[event.v]
@@ -278,7 +271,6 @@ class CompiledGraph:
             self._pend_edges.append(
                 (ui, vi, float(event.storage), float(event.retrieval))
             )
-            ext.add_delta(event.u, event.v, event.storage, event.retrieval)
         self._stale = True
         return True
 
@@ -291,20 +283,17 @@ class CompiledGraph:
         coherent until the next :meth:`refresh`.  ``num_edges`` drops
         eagerly to the live count.
         """
-        ext = self.graph
         if event.kind == "remove_delta":
             ui = self.index[event.u]
             vi = self.index[event.v]
             eid = self._edge_index.pop((ui, vi))
             self._dead_edges.add(eid)
             self.num_edges -= 1
-            ext.remove_delta(event.u, event.v)
         else:  # remove_version — incident deltas already removed upstream
             vi = self.index.pop(event.v)
             self._dead_nodes.add(vi)
             self.num_edges -= 1  # the (AUX, v) materialization edge
             self._str_order = None  # dead slots must drop out of scan order
-            ext.remove_version(event.v)
         self._stale = True
         return True
 
@@ -417,10 +406,10 @@ class CompiledGraph:
         Shares the flat arrays (which are replaced wholesale, never
         mutated, by :meth:`refresh`) and copies the small Python-side
         indexes, so subsequent appends to the live graph leave the
-        snapshot untouched.  The ``graph`` attribute still references
-        the live extended graph — array-only consumers (the solver
-        kernels, ``ArrayPlanTree.to_plan``) are safe; dict-graph
-        consumers must not race an ingesting writer.
+        snapshot untouched.  ``source`` still references the live
+        graph — array-only consumers (the solver kernels,
+        ``ArrayPlanTree.to_plan``) are safe; dict-graph consumers
+        (:meth:`extended_graph`) must not race an ingesting writer.
         """
         self.refresh()
         new = copy.copy(self)
@@ -431,8 +420,13 @@ class CompiledGraph:
         new._pend_edges = []
         new._dead_nodes = set()
         new._dead_edges = set()
-        new._owns_graph = False
         return new
+
+    def extended_graph(self) -> VersionGraph:
+        """The dict ``G_aux`` of :attr:`source`: an O(V + E) build per
+        call (``source`` itself when it has AUX), for oracle views."""
+        src = self.source
+        return src if src.has_aux else src.extended()
 
     # ------------------------------------------------------------------
     def node_of(self, i: int) -> Node:
@@ -482,7 +476,7 @@ class CompiledGraph:
         return cached
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
-        label = f" {self.name!r}" if self.name else ""
+        label = f" {self.source.name!r}" if self.source.name else ""
         return f"<CompiledGraph{label}: {self.n} versions, {self.num_edges} edges>"
 
 

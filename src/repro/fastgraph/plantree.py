@@ -691,8 +691,9 @@ class ArrayPlanTree:
         return StoragePlan.of(mats, deltas)
 
     def to_plan_tree(self) -> PlanTree:
-        """Materialize the equivalent dict :class:`PlanTree` view."""
-        return PlanTree(self.cg.graph, self.parent_map())
+        """The equivalent dict :class:`PlanTree` over a fresh ``G_aux``
+        (:meth:`CompiledGraph.extended_graph`); the oracle view."""
+        return PlanTree(self.cg.extended_graph(), self.parent_map())
 
     def check_invariants(self) -> None:
         """Validate cached values against the dict implementation."""

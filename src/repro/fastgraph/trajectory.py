@@ -187,7 +187,6 @@ def sweep_greedy(
             f"options: {options}"
         ) from None
     cg = _compiled(graph)
-    score_graph = graph if isinstance(graph, VersionGraph) else cg.graph
 
     base = family.start(cg)
     floor = spec.sweep_floor(base)
@@ -215,7 +214,7 @@ def sweep_greedy(
         results[i] = SweepEntry(
             budget=float(budgets[i]),
             plan=plan,
-            score=evaluate_plan(score_graph, plan),
+            score=evaluate_plan(cg.source, plan),
             replayed=replayed,
         )
 

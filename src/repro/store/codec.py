@@ -205,47 +205,40 @@ def apply_delta(
     """
     out: Snapshot = dict(base)
     out_hashes = dict(hashes)
-    for path, entry in entries.items():
-        op = entry.get("op")
-        if op == "delete":
-            if path not in out:
-                raise StoreError(
-                    f"delta deletes absent path {path!r}",
-                    code="delta-apply-failed",
-                )
-            del out[path]
-            del out_hashes[path]
-        elif op == "create":
-            out[path] = blob_lines(load_blob(entry["blob"]))
-            out_hashes[path] = entry["blob"]
-        elif op == "patch":
-            if path not in out:
-                raise StoreError(
-                    f"delta patches absent path {path!r}",
-                    code="delta-apply-failed",
-                )
-            ops = []
-            for item in entry["ops"]:
-                kind = item[0]
-                if kind == "insert":
-                    ops.append(DeltaOp("insert", lines=tuple(item[1])))
-                elif kind in ("keep", "delete"):
-                    ops.append(DeltaOp(kind, count=int(item[1])))
-                else:
-                    raise StoreError(
-                        f"unknown patch op {kind!r}", code="delta-apply-failed"
-                    )
-            try:
+    # one handler per record: a well-hashed entry can still be misshapen
+    # or name a path its base lacks (KeyError)
+    try:
+        for path, entry in entries.items():
+            op = entry.get("op")
+            if op == "delete":
+                del out[path]
+                del out_hashes[path]
+            elif op == "create":
+                out[path] = blob_lines(load_blob(entry["blob"]))
+                out_hashes[path] = entry["blob"]
+            elif op == "patch":
+                ops = []
+                for item in entry["ops"]:
+                    kind = item[0]
+                    if kind == "insert":
+                        ops.append(DeltaOp("insert", lines=tuple(item[1])))
+                    elif kind in ("keep", "delete"):
+                        ops.append(DeltaOp(kind, count=int(item[1])))
+                    else:
+                        raise StoreError(
+                            f"unknown patch op {kind!r}", code="delta-apply-failed"
+                        )
+                # a script that does not fit the base raises ValueError
                 lines = tuple(DeltaScript(tuple(ops)).apply(list(out[path])))
-            except ValueError as err:
+                out[path] = lines
+                out_hashes[path] = hash_object("blob", blob_bytes(lines))
+            else:
                 raise StoreError(
-                    f"patch does not fit base for {path!r}: {err}",
-                    code="delta-apply-failed",
-                ) from err
-            out[path] = lines
-            out_hashes[path] = hash_object("blob", blob_bytes(lines))
-        else:
-            raise StoreError(
-                f"unknown delta entry op {op!r}", code="delta-apply-failed"
-            )
+                    f"unknown delta entry op {op!r}", code="delta-apply-failed"
+                )
+    except (TypeError, AttributeError, KeyError, IndexError, ValueError) as err:
+        raise StoreError(
+            f"delta entry for {path!r} does not apply to its base: {err!r}",
+            code="delta-apply-failed",
+        ) from err
     return out, out_hashes

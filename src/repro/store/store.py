@@ -35,7 +35,7 @@ import json
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from ..core.graph import Node
 from ..core.solution import StoragePlan
@@ -582,12 +582,7 @@ class MaterializationStore:
             if hash_object(rec.obj_kind, data) != rec.obj:
                 # referenced blobs are unknowable from a corrupt payload
                 continue
-            if rec.kind == "full":
-                live.update(decode_manifest(data).values())
-            else:
-                for entry in decode_delta(data).values():
-                    if entry.get("op") == "create":
-                        live.add(entry["blob"])
+            live.update(_blob_refs(rec, data))
         return live, findings
 
     def _gc(self) -> int:
@@ -627,14 +622,7 @@ class MaterializationStore:
                     f"{rec.kind} object of version {v!r} fails its hash",
                 ))
                 continue
-            blob_refs = (
-                decode_manifest(data).values() if rec.kind == "full"
-                else [
-                    e["blob"] for e in decode_delta(data).values()
-                    if e.get("op") == "create"
-                ]
-            )
-            for bh in blob_refs:
+            for bh in _blob_refs(rec, data):
                 blob = self.objects.get(bh)
                 if blob is None:
                     findings.append(FsckFinding(
@@ -692,6 +680,18 @@ class MaterializationStore:
                     f"reconstruction of {v!r} does not match its digest",
                 ))
         return findings
+
+
+def _blob_refs(rec: _Record, data: bytes) -> Iterable[str]:
+    """Blob keys named by a record's verified object payload; misshapen
+    delta entries name none (replay reports them)."""
+    if rec.kind == "full":
+        return decode_manifest(data).values()
+    return [
+        e["blob"] for e in decode_delta(data).values()
+        if isinstance(e, dict) and e.get("op") == "create"
+        and isinstance(e.get("blob"), str)
+    ]
 
 
 def _digest_of(rec: _Record, snap: Snapshot) -> str:

@@ -170,6 +170,14 @@ class TestExtended:
     def test_extended_is_consistent(self):
         validate_graph(figure1_graph().extended())
 
+    def test_extending_an_extended_graph_raises(self):
+        ext = figure1_graph().extended()
+        deltas = ext.num_deltas
+        with pytest.raises(GraphError, match="already extended"):
+            ext.extended()
+        assert ext.num_deltas == deltas
+        assert not ext.has_delta(AUX, AUX)
+
 
 class TestTransforms:
     def test_copy_is_deep_for_structure(self):

@@ -38,7 +38,7 @@ def array_parents(graph: VersionGraph) -> dict:
 
 
 def assert_identical(graph: VersionGraph) -> dict:
-    ref = min_storage_arborescence(graph.compile().graph)
+    ref = min_storage_arborescence(graph.compile().extended_graph())
     assert array_parents(graph) == ref
     return ref
 
@@ -76,7 +76,7 @@ def bidirectional(seed: int) -> VersionGraph:
 
 def first_round_cycles(graph: VersionGraph) -> int:
     """Cycles among the cheapest in-edges (earliest on ties), round one."""
-    ext = graph.compile().graph
+    ext = graph.compile().extended_graph()
     best: dict = {}
     for u, v, d in ext.deltas():
         if v not in best or d.storage < best[v][1]:

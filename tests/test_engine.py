@@ -179,7 +179,7 @@ class TestIncrementalCompile:
         g = random_digraph(5, seed=6)
         ext = g.extended()
         cg = ext.compile()
-        assert cg.graph is ext
+        assert cg.source is ext
         ext.add_version("new", 2.0)
         cg2 = ext.compile()
         assert cg2 is not cg
@@ -299,7 +299,8 @@ class TestIngestEngineEquivalence:
         view = engine.tree.to_plan_tree()
         assert isinstance(view, PlanTree)
         assert view.total_storage == pytest.approx(engine.tree.total_storage)
-        assert cg.graph.has_aux
+        assert cg.source is engine.graph
+        assert cg.extended_graph().has_aux
 
 
 class TestIngestEngineBehavior:

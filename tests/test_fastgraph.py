@@ -55,7 +55,7 @@ class TestCompiledGraph:
         cg = g.compile()
         assert cg.n == 10
         assert cg.aux == 10
-        ext = cg.graph
+        ext = cg.extended_graph()
         assert cg.num_edges == ext.num_deltas
         # every edge of the extended graph is represented, costs intact
         for eid, (u, v, d) in enumerate(ext.deltas()):
@@ -80,7 +80,7 @@ class TestCompiledGraph:
     def test_csr_matches_adjacency(self):
         g = random_digraph(12, extra_edge_prob=0.3, seed=3)
         cg = g.compile()
-        ext = cg.graph
+        ext = cg.extended_graph()
         for u in ext.versions:
             ui = cg.index[u]
             succ = [cg.nodes[cg.edge_dst[e]] if cg.edge_dst[e] != cg.aux else AUX
@@ -140,8 +140,8 @@ class TestArrayPlanTree:
     def make_pair(self, seed=7):
         g = random_digraph(12, extra_edge_prob=0.3, seed=seed)
         cg = g.compile()
-        parent = min_storage_arborescence(cg.graph)
-        return cg, PlanTree(cg.graph, parent), ArrayPlanTree.from_parent_map(cg, parent)
+        parent = min_storage_arborescence(cg.extended_graph())
+        return cg, PlanTree(cg.extended_graph(), parent), ArrayPlanTree.from_parent_map(cg, parent)
 
     def test_construction_matches_plantree(self):
         cg, ref, arr = self.make_pair()
@@ -265,7 +265,7 @@ class TestArrayArborescence:
     def test_matches_dict_edmonds_random(self, seed):
         g = random_digraph(14, extra_edge_prob=0.4, seed=seed)
         cg = g.compile()
-        ref = min_storage_arborescence(cg.graph)
+        ref = min_storage_arborescence(cg.extended_graph())
         pairs = min_storage_parent_edges(cg)
         arr = {cg.nodes[v]: cg.node_of(int(cg.edge_src[e])) for v, e in pairs}
         assert ref == arr
@@ -273,7 +273,7 @@ class TestArrayArborescence:
     def test_matches_dict_edmonds_natural(self):
         g = natural_graph(60, seed=12)
         cg = g.compile()
-        ref = min_storage_arborescence(cg.graph)
+        ref = min_storage_arborescence(cg.extended_graph())
         pairs = min_storage_parent_edges(cg)
         arr = {cg.nodes[v]: cg.node_of(int(cg.edge_src[e])) for v, e in pairs}
         assert ref == arr
@@ -302,7 +302,7 @@ class TestStartTreeCache:
         assert first == second and first is not second
         first.clear()
         second[0] = (0, -1)
-        assert min_storage_parent_edges(cg) == self.fresh(cg.graph)
+        assert min_storage_parent_edges(cg) == self.fresh(cg.source)
 
     @staticmethod
     def _tree_edge(graph):

@@ -266,3 +266,72 @@ def test_rekeyed_wrong_patch_raises_digest_mismatch(store_and_repo):
     assert any(
         f.code == "digest-mismatch" and f.subject == repr(v) for f in store.fsck()
     )
+
+
+def _malform_patch_op(entries, path):
+    entries[path]["ops"].append(["insert", [7]])
+
+
+def _malform_entry_type(entries, path):
+    entries[path] = ["patch"]
+
+
+def _malform_create_without_blob(entries, path):
+    entries[path] = {"op": "create"}
+
+
+def _malform_delete_absent_path(entries, path):
+    entries["no/such/file"] = {"op": "delete"}
+
+
+def _malform_patch_absent_path(entries, path):
+    entries["no/such/file"] = entries.pop(path)
+
+
+@pytest.mark.parametrize(
+    "malform",
+    [
+        _malform_patch_op,
+        _malform_entry_type,
+        _malform_create_without_blob,
+        _malform_delete_absent_path,
+        _malform_patch_absent_path,
+    ],
+    ids=[
+        "non-str-insert-line",
+        "entry-not-a-dict",
+        "create-without-blob",
+        "delete-absent-path",
+        "patch-absent-path",
+    ],
+)
+def test_rekeyed_malformed_delta_is_delta_apply_failed(store_and_repo, malform):
+    """A delta re-keyed after one entry was given the wrong shape or a
+    path its base lacks: the object hashes to its key, but replaying it
+    fails, which must surface as ``delta-apply-failed``, never as a
+    crash."""
+    store, _ = store_and_repo
+    _, deltas, _ = classify_keys(store)
+    for v, delta_key in deltas:
+        entries = decode_delta(store.objects.get(delta_key))
+        patched = [p for p, e in entries.items() if e["op"] == "patch"]
+        if patched:
+            break
+    else:
+        raise AssertionError("no stored delta patches a file")
+    malform(entries, patched[0])
+    payload = json.dumps(
+        {"files": entries}, sort_keys=True, separators=(",", ":")
+    ).encode()
+    key = hash_object("delta", payload)
+    store.objects.poke(key, payload)
+    rec = store._records[v]
+    store._records[v] = type(rec)(rec.parent, rec.kind, key)
+
+    with pytest.raises(StoreError) as exc:
+        store.checkout(v)
+    assert exc.value.code == "delta-apply-failed"
+    assert any(
+        f.code == "delta-apply-failed" and f.subject == repr(v)
+        for f in store.fsck()
+    )
